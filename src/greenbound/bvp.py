@@ -18,9 +18,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .domain import GridFn, write_gridfn_csv
+from .domain import SCHEMA, GridFn, write_gridfn_csv
 from .errors import (DomainError, InfeasibleStartError, NotOrderedError,
                      SolverFailureError)
 from .estimates import Problem
@@ -53,7 +52,7 @@ class NewtonReport:
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump({
-                "schema": "greenbound/1",
+                "schema": SCHEMA,
                 "converged": self.converged,
                 "residual_norm": self.residual_norm,
                 "iterations": self.iterations,
@@ -89,6 +88,9 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
     an unrescuable Jacobian raises SolverFailureError and an initial guess
     whose positivity cannot be restored raises InfeasibleStartError.
     """
+    # imported here: scipy.linalg dominates the cost of ``import greenbound``
+    from scipy.linalg import solve_banded
+
     grid = problem.grid
     q = problem.q
     dx = grid.spacing

@@ -28,7 +28,8 @@ import sys
 import numpy as np
 
 from .bvp import fd_solve, lemma41_identity_check
-from .domain import GridFn, Interval, make_grid, read_gridfn_csv, sample, write_gridfn_csv
+from .domain import (SCHEMA, GridFn, Interval, make_grid, read_gridfn_csv, sample,
+                     write_gridfn_csv)
 from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
                      DomainError, GreenboundError, InvalidGridError,
                      InvalidHError, InvalidScenarioError, InvalidSignError,
@@ -42,7 +43,6 @@ from .phi import PhiFamily
 from .scenarios import (ScenarioSpec, build_scenario, fit_boundary_rate,
                         sharpness_report_ex4, verify_cancellation_ex1)
 
-SCHEMA = "greenbound/1"
 
 _PRECONDITION_ERRORS = (PreconditionFailedError, DegenerateSourceError,
                         InvalidSignError, InvalidHError, NotOrderedError,

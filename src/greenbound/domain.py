@@ -31,6 +31,8 @@ __all__ = [
     "write_gridfn_csv",
 ]
 
+SCHEMA = "greenbound/1"     # "schema" key of every JSON summary
+
 
 @dataclass(frozen=True)
 class Interval:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, GridFn
+from .domain import SCHEMA, Grid, GridFn
 from .errors import (DegenerateSourceError, DomainError, InvalidHError,
                      InvalidSignError)
 from .fixedpoint import sharp_constants
@@ -40,7 +40,6 @@ __all__ = ["Problem", "BoundReport", "thm1_bound", "thm2_bound", "thm3_bound",
            "thm4_conditions", "unified_bound"]
 
 STRICT_SLACK = 1e-12
-SCHEMA = "greenbound/1"
 
 
 @dataclass(frozen=True)

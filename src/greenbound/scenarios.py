@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._oscillate import green_apply_oscillatory
-from .domain import Grid, GridFn, Interval, sample
+from .domain import SCHEMA, Grid, GridFn, Interval, sample
 from .errors import (InvalidScenarioError, ResolutionInsufficientError,
                      WindowTooSmallError)
 from .estimates import Problem, thm1_bound
@@ -47,8 +47,6 @@ __all__ = [
     "ex1_functions",
     "ex4_functions",
 ]
-
-SCHEMA = "greenbound/1"
 
 
 @dataclass(frozen=True)
@@ -77,26 +75,23 @@ def ex1_functions(alpha: float) -> dict:
     if not alpha > 0:
         raise InvalidScenarioError("ex1 needs alpha > 0")
 
-    def trig(x):
+    def D(x):
         x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return 1.0 + x * np.sin(np.pi * x ** (-alpha))
+
+    def one_plus_upp_and_D(x):
+        # 1 + u'' and D from one evaluation of x^{-α}, sin and cos
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = x ** (-alpha)
             phase = np.pi * t
             s = np.sin(phase)
             c = np.cos(phase)
-        return t, s, c
-
-    def D(x):
-        _, s, _ = trig(x)
-        return 1.0 + np.asarray(x, dtype=float) * s
-
-    def one_plus_upp(x):
-        x = np.asarray(x, dtype=float)
-        t, s, c = trig(x)
-        return (-1.0 + 2.0 * (1.0 - 3.0 * x) * s
-                - 2.0 * alpha * np.pi * (1.0 - 2.0 * x) * t * c
-                - alpha ** 2 * np.pi ** 2 * (1.0 - x) * t * t * s
-                + alpha * np.pi * (alpha - 1.0) * (1.0 - x) * t * c)
+            num = (-1.0 + 2.0 * (1.0 - 3.0 * x) * s
+                   - 2.0 * alpha * np.pi * (1.0 - 2.0 * x) * t * c
+                   - alpha ** 2 * np.pi ** 2 * (1.0 - x) * t * t * s
+                   + alpha * np.pi * (alpha - 1.0) * (1.0 - x) * t * c)
+        return num, 1.0 + x * s
 
     def u(x):
         x = np.asarray(x, dtype=float)
@@ -109,16 +104,18 @@ def ex1_functions(alpha: float) -> dict:
         x = np.asarray(x, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
         xs = np.where(inside, x, 0.5)
+        num, d = one_plus_upp_and_D(xs)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = one_plus_upp(xs) / (xs * (1.0 - xs) * D(xs))
+            vals = num / (xs * (1.0 - xs) * d)
         return np.where(inside, vals, np.inf)
 
     def hV(x):
         x = np.asarray(x, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
         xs = np.where(inside, x, 0.5)
+        num, d = one_plus_upp_and_D(xs)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = one_plus_upp(xs) / (2.0 * D(xs))
+            vals = num / (2.0 * d)
         return np.where(inside, vals, 0.0)
 
     return {"u": u, "V": V, "hV": hV, "D": D}
@@ -293,6 +290,8 @@ class Ex1CancellationReport:
     logratio_variation: float | None = None
     curve_x: np.ndarray | None = None
     curve_ratio: np.ndarray | None = None
+    alternating_ok: bool | None = None
+    periods: int | None = None
 
     def curves_to_csv(self, path) -> None:
         import csv as _csv
@@ -315,6 +314,9 @@ class Ex1CancellationReport:
             "positivity_min": self.positivity_min,
             "certified_remainder": self.certified_remainder,
         }
+        if self.periods is not None:
+            out["alternating_ok"] = self.alternating_ok
+            out["periods"] = self.periods
         if self.sup_ratio is not None:
             out["sup_ratio"] = self.sup_ratio
             out["sup_ratio_refined"] = self.sup_ratio_refined
@@ -346,14 +348,22 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
                             levels: tuple = (12, 20)) -> Ex1CancellationReport:
     """Measure the cancellation in G(hV) for the oscillatory scenario.
 
-    alpha < 1: evaluates G(hV)/h at the grid nodes (and at a doubled node
-    set for a stability ratio), reports the sup over the window x <= 1/2 and
-    the worst margin of u against the q = 1 lower bound h e^{-G(hV)/h}.
+    alpha < 1: evaluates G(hV)/h in one oscillatory pass at a doubled node
+    set, whose every other node is a grid node, so the sup over the window
+    x <= 1/2 on both node sets gives a stability ratio; also reports the
+    worst margin of u against the q = 1 lower bound h e^{-G(hV)/h}.
 
     alpha = 1: G(hV) exists only as an improper integral; its exhaustion
     sequence over (δ_m, 1-δ_m), δ_m = 2^{-m-2}, m = levels[0]..levels[1],
     is evaluated at probe points spanning [1e-4, 1e-2], and the growth of
     G(hV)/x together with the flatness of G(hV)/(x log(1/x)) is reported.
+    Every level comes from one pass of two running moments over the
+    deepest level's panels (see :mod:`greenbound._oscillate`); a probe
+    outside a level reads NaN in that level's entry of the sequence.
+
+    Both modes report whether the oscillatory head certificate's
+    alternation check held (``alternating_ok``) and how many sign
+    intervals were resolved (``periods``).
     """
     if not 0 < alpha <= 1:
         raise InvalidScenarioError("cancellation check covers 0 < alpha <= 1")
@@ -361,33 +371,32 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
         raise InvalidScenarioError("ex1 lives on (0,1)")
     fns = ex1_functions(alpha)
 
-    scan = np.unique(np.concatenate([
-        np.geomspace(1e-7, 1.0 - 1e-7, 120_000),
-        np.linspace(1e-7, 1.0 - 1e-7, 80_000)]))
+    scan = np.concatenate([np.geomspace(1e-7, 1.0 - 1e-7, 120_000),
+                           np.linspace(1e-7, 1.0 - 1e-7, 80_000)])
     positivity_min = float(np.min(fns["D"](scan)))
 
     report = Ex1CancellationReport(alpha=alpha, positivity_min=positivity_min)
 
     if alpha < 1.0:
-        xs = grid.nodes[1:-1]
-        res = green_apply_oscillatory(fns["hV"], alpha, xs,
+        # one pass on the doubled node set; its odd entries are the grid's
+        # own interior nodes, so both sup ratios come from two node sets
+        fine = Grid(grid.interval, 2 * grid.n - 1)
+        xs2 = fine.nodes[1:-1]
+        res = green_apply_oscillatory(fns["hV"], alpha, xs2,
                                       head_budget=head_budget,
                                       max_periods=max_periods)
+        ratio2 = res.values / _h01(xs2)
+        report.sup_ratio_refined = float(np.max(np.abs(ratio2[xs2 <= 0.5])))
+        xs = xs2[1::2]
         h = _h01(xs)
-        ratio = res.values / h
+        ratio = res.values[1::2] / h
         window = xs <= 0.5
         report.sup_ratio = float(np.max(np.abs(ratio[window])))
         report.certified_remainder = float(res.head_bound)
-
-        fine = Grid(grid.interval, 2 * grid.n - 1)
-        xs2 = fine.nodes[1:-1]
-        res2 = green_apply_oscillatory(fns["hV"], alpha, xs2,
-                                       head_budget=head_budget,
-                                       max_periods=max_periods)
-        ratio2 = res2.values / _h01(xs2)
-        report.sup_ratio_refined = float(np.max(np.abs(ratio2[xs2 <= 0.5])))
         report.stability = abs(report.sup_ratio_refined - report.sup_ratio) \
             / max(report.sup_ratio, 1e-300)
+        report.alternating_ok = res.alternating_ok
+        report.periods = res.periods
 
         u = fns["u"](xs)
         bound = h * np.exp(-ratio)
@@ -398,23 +407,28 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
         report.curve_ratio = ratio
         return report
 
-    # alpha == 1: improper mode over the standard exhaustion schedule
+    # alpha == 1: improper mode over the standard exhaustion schedule, all
+    # levels from one pass over the deepest level's panels
     if probes is None:
         probes = np.geomspace(1e-4, 1e-2, 7)
     probes = np.asarray(probes, dtype=float)
-    seq = []
-    worst_cert = 0.0
-    for m in range(levels[0], levels[1] + 1):
-        delta = 2.0 ** (-(m + 2))
-        inside = (probes > delta * 1.5) & (probes < 1.0 - delta * 1.5)
-        vals = np.full(probes.size, np.nan)
-        if inside.any():
-            r = green_apply_oscillatory(fns["hV"], alpha, probes[inside],
-                                        a=delta, b=1.0 - delta,
-                                        max_periods=max_periods)
-            vals[inside] = r.values
-            worst_cert = max(worst_cert, float(np.max(r.eps)))
-        seq.append(vals)
+    deltas = 2.0 ** -(np.arange(levels[0], levels[1] + 1) + 2.0)
+    inside = ((probes > 1.5 * deltas[:, None])
+              & (probes < 1.0 - 1.5 * deltas[:, None]))
+    vals = np.full(inside.shape, np.nan)
+    eps = np.zeros(inside.shape)
+    cols = np.flatnonzero(inside.any(axis=0))
+    if cols.size:
+        cols = cols[np.argsort(probes[cols], kind="stable")]
+        r = green_apply_oscillatory(fns["hV"], alpha, probes[cols],
+                                    a=deltas, b=1.0 - deltas,
+                                    max_periods=max_periods)
+        vals[:, cols] = r.values
+        eps[:, cols] = r.eps
+        vals[~inside] = np.nan
+        report.alternating_ok = r.alternating_ok
+        report.periods = r.periods
+    seq = list(vals)
     final = seq[-1]
     if not np.all(np.isfinite(final)):
         raise ResolutionInsufficientError(
@@ -423,7 +437,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     report.improper_sequence = seq
     report.improper_values = final
     report.probes = probes
-    report.certified_remainder = worst_cert
+    report.certified_remainder = float(np.max(eps[inside], initial=0.0))
     over_x = final / probes
     report.growth_factor = float(over_x[0] / over_x[-1])
     norm = final / (probes * np.log(1.0 / probes))

@@ -150,3 +150,18 @@ def test_identity_second_order(q):
         discs.append(lemma41_identity_check(hsm, v, PhiFamily(q)))
     for c0, c1 in zip(discs, discs[1:]):
         assert c0 / c1 >= 3.5
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed once fd_solve runs; importing greenbound is cheap
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, greenbound; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -238,3 +238,117 @@ def test_reports_serialize(tmp_path):
     data = json.loads(path.read_text())
     assert data["schema"] == "greenbound/1"
     assert data["classification"] == "sharp"
+
+
+def _two_trig_ex1(alpha):
+    # reference: hV and D as evaluated before the single-trig rewrite, with
+    # x^{-α}, sin and cos computed once for 1 + u'' and again for D
+    def trig(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = x ** (-alpha)
+            phase = np.pi * t
+            return t, np.sin(phase), np.cos(phase)
+
+    def D(x):
+        _, s, _ = trig(x)
+        return 1.0 + np.asarray(x, dtype=float) * s
+
+    def one_plus_upp(x):
+        t, s, c = trig(x)
+        return (-1.0 + 2.0 * (1.0 - 3.0 * x) * s
+                - 2.0 * alpha * np.pi * (1.0 - 2.0 * x) * t * c
+                - alpha ** 2 * np.pi ** 2 * (1.0 - x) * t * t * s
+                + alpha * np.pi * (alpha - 1.0) * (1.0 - x) * t * c)
+
+    def hV(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x > 0.0) & (x < 1.0)
+        xs = np.where(inside, x, 0.5)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = one_plus_upp(xs) / (2.0 * D(xs))
+        return np.where(inside, vals, 0.0)
+
+    return hV, D
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.75, 1.0])
+def test_ex1_single_trig_bitwise(alpha):
+    x = np.concatenate([np.geomspace(1e-300, 1.0, 4001),
+                        np.linspace(-0.5, 1.5, 4001), [0.0, 1.0]])
+    hV_ref, D_ref = _two_trig_ex1(alpha)
+    fns = ex1_functions(alpha)
+    assert np.array_equal(fns["hV"](x), hV_ref(x), equal_nan=True)
+    assert np.array_equal(fns["D"](x), D_ref(x), equal_nan=True)
+
+
+def test_ex1_levels_pass_matches_single_level_passes():
+    # one call over all exhaustion levels against one call per level; the
+    # probe at 1e-5 lies outside the shallow levels and must stay NaN there,
+    # and max_periods caps the two deepest levels, which carry a head
+    probes = np.array([1e-5, 1e-3])
+    levels, max_periods = (12, 16), 100_000
+    grid = make_grid(Interval(0.0, 1.0), 801)
+    rep = verify_cancellation_ex1(1.0, grid, probes=probes, levels=levels,
+                                  max_periods=max_periods)
+    hV = ex1_functions(1.0)["hV"]
+    worst = 0.0
+    assert len(rep.improper_sequence) == levels[1] - levels[0] + 1
+    for m, got in zip(range(levels[0], levels[1] + 1), rep.improper_sequence):
+        delta = 2.0 ** (-(m + 2))
+        inside = (probes > delta * 1.5) & (probes < 1.0 - delta * 1.5)
+        r = green_apply_oscillatory(hV, 1.0, probes[inside], a=delta,
+                                    b=1.0 - delta, max_periods=max_periods)
+        assert np.all(np.isnan(got[~inside]))
+        np.testing.assert_allclose(got[inside], r.values, rtol=1e-12, atol=0)
+        worst = max(worst, float(np.max(r.eps)))
+    assert np.isnan(rep.improper_sequence[0][0])
+    assert np.isfinite(rep.improper_sequence[-1][0])
+    assert worst > 0.0
+    assert rep.certified_remainder == pytest.approx(worst, rel=1e-9)
+
+
+def test_ex1_levels_result_shapes():
+    hV = ex1_functions(1.0)["hV"]
+    deltas = np.array([2.0 ** -10, 2.0 ** -12])
+    xs = np.array([5e-4, 1e-2, 0.5])
+    r = green_apply_oscillatory(hV, 1.0, xs, a=deltas, b=1.0 - deltas)
+    for arr in (r.values, r.eps, r.a_cum, r.b_cum):
+        assert arr.shape == (2, 3)
+    assert r.head_bound.shape == (2,)
+    assert isinstance(r.periods, int) and isinstance(r.alternating_ok, bool)
+    assert np.isnan(r.values[0, 0]) and np.all(np.isfinite(r.values[1]))
+    single = green_apply_oscillatory(hV, 1.0, xs[1:], a=deltas[0],
+                                     b=1.0 - deltas[0])
+    assert np.ndim(single.head_bound) == 0 and single.values.shape == (2,)
+    np.testing.assert_allclose(r.values[0, 1:], single.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.3, 0.61, 0.75])
+def test_ex1_coarse_readoff_matches_coarse_pass(alpha):
+    # the coarse ratio is read off the refined pass at every other node;
+    # a separate pass on the grid's own nodes differs only by quadrature
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    rep = verify_cancellation_ex1(alpha, grid)
+    xs = grid.nodes[1:-1]
+    assert np.array_equal(rep.curve_x, xs)
+    res = green_apply_oscillatory(ex1_functions(alpha)["hV"], alpha, xs,
+                                  head_budget=5e-11, max_periods=400_000)
+    ratio = res.values / (0.5 * xs * (1.0 - xs))
+    scale = np.max(np.abs(ratio))
+    assert np.max(np.abs(rep.curve_ratio - ratio)) <= 5e-9 * scale
+    assert rep.certified_remainder == res.head_bound
+
+
+def test_ex1_summary_reports_head_diagnostics():
+    grid = make_grid(Interval(0.0, 1.0), 501)
+    half = verify_cancellation_ex1(0.5, grid).summary()
+    assert half["alternating_ok"] is True
+    assert isinstance(half["periods"], int) and half["periods"] > 0
+    assert {"sup_ratio", "stability", "bound_violations"} <= half.keys()
+    one = verify_cancellation_ex1(1.0, grid, probes=np.array([1e-3, 1e-2]),
+                                  levels=(12, 14)).summary()
+    assert isinstance(one["alternating_ok"], bool)
+    assert one["periods"] == 2 ** 16 - 2
+    assert {"growth_factor", "improper_values", "probes"} <= one.keys()
+    assert one["schema"] == half["schema"] == "greenbound/1"
