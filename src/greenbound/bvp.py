@@ -14,12 +14,11 @@ their comparisons are stencil-consistent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SCHEMA, GridFn, write_gridfn_csv
+from .domain import SCHEMA, GridFn, write_gridfn_csv, write_json
 from .errors import (DomainError, InfeasibleStartError, NotOrderedError,
                      SolverFailureError)
 from .estimates import Problem
@@ -50,16 +49,14 @@ class NewtonReport:
     residual_history: list = field(default_factory=list)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({
-                "schema": SCHEMA,
-                "converged": self.converged,
-                "residual_norm": self.residual_norm,
-                "iterations": self.iterations,
-                "damping_events": self.damping_events,
-                "residual_history": [float(r) for r in self.residual_history],
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({
+            "schema": SCHEMA,
+            "converged": self.converged,
+            "residual_norm": self.residual_norm,
+            "iterations": self.iterations,
+            "damping_events": self.damping_events,
+            "residual_history": [float(r) for r in self.residual_history],
+        }, path)
 
     def to_csv(self, path) -> None:
         write_gridfn_csv(self.solution, path)

@@ -22,14 +22,13 @@ flags win.  All floating output is written with full round-trip precision
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .bvp import fd_solve, lemma41_identity_check
 from .domain import (SCHEMA, GridFn, Interval, make_grid, read_gridfn_csv, sample,
-                     write_gridfn_csv)
+                     write_gridfn_csv, write_json)
 from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
                      DomainError, GreenboundError, InvalidGridError,
                      InvalidHError, InvalidScenarioError, InvalidSignError,
@@ -40,23 +39,15 @@ from .estimates import Problem, thm1_bound, thm4_conditions
 from .fixedpoint import scalar_recurrence, solve_integral_equation
 from .green import Kernel, potential
 from .phi import PhiFamily
-from .scenarios import (ScenarioSpec, build_scenario, fit_boundary_rate,
-                        sharpness_report_ex4, verify_cancellation_ex1)
+from .scenarios import (SCENARIO_INTERVALS, ScenarioSpec, _distance_power,
+                        build_scenario, fit_boundary_rate, sharpness_report_ex4,
+                        verify_cancellation_ex1)
 
 
 _PRECONDITION_ERRORS = (PreconditionFailedError, DegenerateSourceError,
                         InvalidSignError, InvalidHError, NotOrderedError,
                         NotIntegrableError, DivergingBracketError,
                         WindowTooSmallError, DomainError)
-
-
-def _dump_json(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _read_config(path) -> dict:
@@ -106,15 +97,7 @@ def _coefficient(spec_text, grid, name):
             coef, beta = (float(v) for v in text.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad {name} builtin {text!r}") from exc
-        a, b = grid.interval.left, grid.interval.right
-
-        def V(x, coef=coef, beta=beta, a=a, b=b):
-            x = np.asarray(x, dtype=float)
-            d = np.minimum(x - a, b - x)
-            with np.errstate(divide="ignore", over="ignore"):
-                return coef * d ** (-beta)
-
-        return sample(V, grid)
+        return sample(_distance_power(grid.interval, coef, beta), grid)
     fn = read_gridfn_csv(text)
     if fn.grid != grid:
         raise ConfigError(f"{name} file grid does not match --grid-n/--interval")
@@ -126,15 +109,9 @@ def _problem_from_args(args) -> tuple[Problem, GridFn | None]:
     q = float(args.q) if args.q is not None else None
     if args.scenario:
         sid = str(args.scenario)
-        if sid in ("ex1",):
-            interval = Interval(0.0, 1.0)
-        elif sid in ("ex2", "ex3"):
-            interval = Interval(0.0, 1.0)
-        elif sid == "ex4":
-            interval = Interval(-1.0, 1.0)
-        else:
+        if sid not in SCENARIO_INTERVALS:
             raise ConfigError(f"unknown scenario {sid!r}")
-        grid = make_grid(interval, n)
+        grid = make_grid(SCENARIO_INTERVALS[sid], n)
         spec = ScenarioSpec(
             sid, grid, q=q if q is not None else (1.0 if sid == "ex1" else -1.0),
             alpha=float(args.alpha) if args.alpha is not None else None,
@@ -167,7 +144,7 @@ def _cmd_bound(args) -> int:
     if not args.out and not args.summary and args.format == "csv":
         report.to_csv(sys.stdout)
     else:
-        _dump_json(summary, args.summary)
+        write_json(summary, args.summary)
     violated = report.violated_nodes()
     undefined = summary["undefined_nodes"]
     if violated or undefined:
@@ -186,7 +163,7 @@ def _cmd_solve_integral(args) -> int:
                                     tol=tol, k_max=int(args.kmax or 10000))
     if args.out:
         write_gridfn_csv(trace.solution, args.out)
-    _dump_json({
+    write_json({
         "schema": SCHEMA,
         "converged": trace.converged,
         "accelerated": trace.accelerated,
@@ -210,7 +187,7 @@ def _cmd_solve_bvp(args) -> int:
     report = fd_solve(problem, boundary=boundary, tol=tol)
     if args.out:
         report.to_csv(args.out)
-    _dump_json({
+    write_json({
         "schema": SCHEMA,
         "converged": report.converged,
         "residual_norm": report.residual_norm,
@@ -225,56 +202,54 @@ def _cmd_scenario(args) -> int:
         raise ConfigError("scenario command needs --id")
     sid = str(args.id)
     n = int(args.grid_n or 2001)
+    if sid not in SCENARIO_INTERVALS:
+        raise ConfigError(f"unknown scenario id {sid!r}")
+    grid = make_grid(SCENARIO_INTERVALS[sid], n)
     if sid == "ex1":
-        grid = make_grid(Interval(0.0, 1.0), n)
         rep = verify_cancellation_ex1(float(args.alpha or 0.5), grid)
         if args.out:
             rep.curves_to_csv(args.out)
-        _dump_json(rep.summary(), args.summary)
+        write_json(rep.summary(), args.summary)
         return 0
     if sid == "ex4":
-        grid = make_grid(Interval(-1.0, 1.0), n)
         rep = sharpness_report_ex4(float(getattr(args, "lam") or 1.0),
                                    float(args.gamma or 1.0),
                                    float(args.q or -1.0), grid)
         if args.out:
             rep.curves_to_csv(args.out)
-        _dump_json(rep.summary(), args.summary)
+        write_json(rep.summary(), args.summary)
         return 0
-    if sid in ("ex2", "ex3"):
-        grid = make_grid(Interval(0.0, 1.0), n)
-        spec = ScenarioSpec(sid, grid, q=float(args.q or -0.5),
-                            lam=(float(getattr(args, "lam")) if getattr(args, "lam")
-                                 is not None else (1.0 if sid == "ex2" else None)),
-                            beta=float(args.beta or 1.0))
-        problem, _ = build_scenario(spec)
-        rep = thm1_bound(problem)
-        if rep.ghqv.plus_infinite or rep.ghqv.minus_infinite:
-            summary = {"schema": SCHEMA, "scenario": sid,
-                       "weight_potential_infinite": True}
-            _dump_json(summary, args.summary)
-            return 1
-        fit = fit_boundary_rate(rep.ghqv.value, rep.h)
-        if args.out:
-            rep.to_csv(args.out)
-        _dump_json({
-            "schema": SCHEMA,
-            "scenario": sid,
-            "parameters": {"q": spec.q, "lam": spec.lam, "beta": spec.beta},
-            "fitted_rates": {"slope": fit.slope, "slope_ci": fit.slope_ci,
-                             "model": fit.model},
-            "condition_flags": {
-                "necessary_ok_everywhere": bool(np.all(rep.necessary_ok))},
-        }, args.summary)
-        return 0
-    raise ConfigError(f"unknown scenario id {sid!r}")
+    spec = ScenarioSpec(sid, grid, q=float(args.q or -0.5),
+                        lam=(float(getattr(args, "lam")) if getattr(args, "lam")
+                             is not None else (1.0 if sid == "ex2" else None)),
+                        beta=float(args.beta or 1.0))
+    problem, _ = build_scenario(spec)
+    rep = thm1_bound(problem)
+    if rep.ghqv.plus_infinite or rep.ghqv.minus_infinite:
+        summary = {"schema": SCHEMA, "scenario": sid,
+                   "weight_potential_infinite": True}
+        write_json(summary, args.summary)
+        return 1
+    fit = fit_boundary_rate(rep.ghqv.value, rep.h)
+    if args.out:
+        rep.to_csv(args.out)
+    write_json({
+        "schema": SCHEMA,
+        "scenario": sid,
+        "parameters": {"q": spec.q, "lam": spec.lam, "beta": spec.beta},
+        "fitted_rates": {"slope": fit.slope, "slope_ci": fit.slope_ci,
+                         "model": fit.model},
+        "condition_flags": {
+            "necessary_ok_everywhere": bool(np.all(rep.necessary_ok))},
+    }, args.summary)
+    return 0
 
 
 def _cmd_recurrence(args) -> int:
     if args.q is None or args.a is None:
         raise ConfigError("recurrence needs --q and --a")
     seq = scalar_recurrence(float(args.q), float(args.a), int(args.kmax or 200))
-    _dump_json({
+    write_json({
         "schema": SCHEMA,
         "q": float(args.q),
         "a": float(args.a),
@@ -303,7 +278,7 @@ def _cmd_identity_check(args) -> int:
         n = 2 * n - 1
     ratios = [discrepancies[i] / discrepancies[i + 1]
               for i in range(len(discrepancies) - 1)]
-    _dump_json({
+    write_json({
         "schema": SCHEMA,
         "q": float(args.q),
         "n0": n0,

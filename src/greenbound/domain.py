@@ -12,6 +12,8 @@ pure, so everything in this module is safe to share between threads.
 from __future__ import annotations
 
 import csv
+import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -32,6 +34,16 @@ __all__ = [
 ]
 
 SCHEMA = "greenbound/1"     # "schema" key of every JSON summary
+
+
+def write_json(obj, path=None) -> None:
+    """Write obj as indented, key-sorted JSON plus a newline to path or stdout."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 @dataclass(frozen=True)
@@ -124,9 +136,6 @@ class GridFn:
     @property
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
-
-    def with_values(self, values: np.ndarray, fn=None) -> "GridFn":
-        return GridFn(self.grid, values, fn)
 
     def __call__(self, x: float) -> float:
         """Evaluate off-node via ``fn`` when present, else linear interpolation."""

@@ -13,6 +13,11 @@ w = h^q V, every regime's bound is h·φ(-G(w)/h) for the substitution φ of
 * q < 0:    upper bound  h [1 - (1-q) G(w)/h]^{1/(1-q)}, with the same
             bracket-positivity necessity.
 
+All four go through :func:`unified_bound`, so the regime switch lives in
+:mod:`greenbound.phi` alone.  The source-free bound of :func:`thm3_bound` is
+φ read off its bracket t = (q-1)·GV, that is t^{1/(1-q)} (e^{-GV} at q = 1),
+through the same φ code.
+
 The ratio G(w)/h is always formed from one quadrature grid (numerator and
 denominator share nodes), and bounds at the two boundary nodes are set to 0
 by continuity instead of evaluating the 0/0 ratio there.
@@ -24,17 +29,16 @@ G(w) <= (1-1/q)^q h/(1-q) for q < 0 and V >= 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SCHEMA, Grid, GridFn
+from .domain import SCHEMA, Grid, GridFn, write_json
 from .errors import (DegenerateSourceError, DomainError, InvalidHError,
                      InvalidSignError)
 from .fixedpoint import sharp_constants
 from .green import Kernel, PotentialResult, potential, power_product
-from .phi import PhiFamily, phi_eval
+from .phi import PhiFamily, _phi_of_bracket, phi_eval
 
 __all__ = ["Problem", "BoundReport", "thm1_bound", "thm2_bound", "thm3_bound",
            "thm4_conditions", "unified_bound"]
@@ -136,9 +140,7 @@ class BoundReport:
                 write(fh)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.summary(), path)
 
 
 def unified_bound(q: float, h_vals: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -153,7 +155,7 @@ def unified_bound(q: float, h_vals: np.ndarray, ratio: np.ndarray) -> np.ndarray
     return out
 
 
-def _solve_h(problem: Problem) -> tuple[PotentialResult, GridFn]:
+def _solve_h(problem: Problem) -> GridFn:
     if problem.f is None:
         raise DomainError("problem has no source f")
     if np.any(problem.f.values[1:-1] < 0) or np.isneginf(problem.f.values[[0, -1]]).any():
@@ -164,55 +166,45 @@ def _solve_h(problem: Problem) -> tuple[PotentialResult, GridFn]:
         raise DegenerateSourceError("G f is not finite on the grid")
     if np.any(h.values[1:-1] <= 0.0):
         raise DegenerateSourceError("G f must be positive at interior nodes")
-    return hres, h
+    return h
 
 
-def _chi(u: GridFn, threshold: float | None) -> np.ndarray:
+def _chi(u: GridFn | None, threshold: float | None, what: str) -> np.ndarray:
+    if u is None:
+        raise DomainError(f"0 < q < 1 needs u to restrict {what} to {{u > 0}}")
     uv = u.values
     thr = 1e-12 * float(np.max(uv)) if threshold is None else threshold
     return (uv > thr).astype(float)
 
 
-def _regime_bound(q: float, h: GridFn, gres: PotentialResult,
-                  zero_boundary: bool = True):
-    """Shared bound assembly: ratio, bracket, flags, bound grid function."""
-    grid = h.grid
+def _bound_report(q: float, h: GridFn, V: GridFn, kernel: Kernel,
+                  u: GridFn | None, u_threshold: float | None,
+                  zero_boundary: bool = True) -> BoundReport:
+    """h·φ(-G(w)/h) with w = h^q V, restricted to {u > 0} when 0 < q < 1.
+
+    Where bracket positivity is necessary (q > 1, q < 0), nodes failing it
+    carry nan bounds and cleared flags, as do nodes where G(w) is undefined.
+    """
+    fam = PhiFamily(q)
+    chi = _chi(u, u_threshold, "the weight") if fam.truncated else None
+    gres = potential(kernel, power_product(h, q, V, chi))
     hv = h.values
-    gv = gres.value.values
-    n = grid.n
-    ratio = np.full(n, np.nan)
+    n = h.grid.n
     inner = slice(1, -1)
+    ratio = np.full(n, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio[inner] = gv[inner] / hv[inner]
-    bracket = 1.0 + (q - 1.0) * ratio
+        ratio[inner] = gres.value.values[inner] / hv[inner]
+        bracket = 1.0 + (q - 1.0) * ratio
 
     necessary = np.ones(n, bool)
-    bound = np.full(n, np.nan)
-    defined = gres.well_defined.copy()
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if q == 1.0:
-            vals = hv * np.exp(-ratio)
-            necessity_applies = False
-        elif q > 1.0:
-            vals = hv * bracket ** (-1.0 / (q - 1.0))
-            necessity_applies = True
-        elif q > 0.0:
-            vals = hv * np.maximum(bracket, 0.0) ** (1.0 / (1.0 - q))
-            necessity_applies = False
-        else:
-            vals = hv * bracket ** (1.0 / (1.0 - q))
-            necessity_applies = True
-
-    if necessity_applies:
+    if q != 1.0 and not fam.truncated:
         necessary[inner] = bracket[inner] > STRICT_SLACK
-        vals = np.where(necessary, vals, np.nan)
-    vals = np.where(defined, vals, np.nan)
-    bound[:] = vals
+    bound = unified_bound(q, hv, ratio)
+    bound[~(necessary & gres.well_defined)] = np.nan
     if zero_boundary:
         bound[0] = bound[-1] = 0.0
-        necessary[0] = necessary[-1] = True
-    return ratio, bracket, necessary, GridFn(grid, bound)
+    return BoundReport(fam.regime, "upper" if q < 0 else "lower", h, gres,
+                       ratio, bracket, GridFn(h.grid, bound), necessary)
 
 
 def thm1_bound(problem: Problem, u: GridFn | None = None) -> BoundReport:
@@ -222,19 +214,8 @@ def thm1_bound(problem: Problem, u: GridFn | None = None) -> BoundReport:
     supplied u.  Nodes where G(h^q V) is undefined, or where the q > 1 /
     q < 0 bracket positivity fails, carry nan bounds and cleared flags.
     """
-    q = problem.q
-    _, h = _solve_h(problem)
-    chi = None
-    if 0.0 < q < 1.0:
-        if u is None:
-            raise DomainError("0 < q < 1 needs u to restrict the weight to {u > 0}")
-        chi = _chi(u, problem.u_threshold)
-    w = power_product(h, q, problem.V, chi)
-    gres = potential(problem.kernel, w)
-    ratio, bracket, necessary, bound = _regime_bound(q, h, gres)
-    fam = PhiFamily(q)
-    kind = "upper" if q < 0 else "lower"
-    return BoundReport(fam.regime, kind, h, gres, ratio, bracket, bound, necessary)
+    return _bound_report(problem.q, _solve_h(problem), problem.V,
+                         problem.kernel, u, problem.u_threshold)
 
 
 def thm2_bound(problem: Problem, h_given: GridFn,
@@ -244,7 +225,6 @@ def thm2_bound(problem: Problem, h_given: GridFn,
     h must be positive at interior nodes and discretely superharmonic:
     -h'' >= -tol with tol = 1e-8 sup|h''| plus the stencil rounding floor.
     """
-    q = problem.q
     grid = h_given.grid
     if grid != problem.grid:
         raise DomainError("h must live on the problem grid")
@@ -259,63 +239,44 @@ def thm2_bound(problem: Problem, h_given: GridFn,
         + 32.0 * np.finfo(float).eps * float(np.max(np.abs(hv))) / dx ** 2
     if np.any(-lap < -tol):
         raise InvalidHError("h is not superharmonic: -h'' < 0 beyond tolerance")
-
-    chi = None
-    if 0.0 < q < 1.0:
-        if u is None:
-            raise DomainError("0 < q < 1 needs u to restrict the weight to {u > 0}")
-        chi = _chi(u, problem.u_threshold)
-    w = power_product(h_given, q, problem.V, chi)
-    gres = potential(problem.kernel, w)
-    zero_bdry = bool(hv[0] == 0.0 and hv[-1] == 0.0)
-    ratio, bracket, necessary, bound = _regime_bound(q, h_given, gres,
-                                                     zero_boundary=zero_bdry)
-    fam = PhiFamily(q)
-    kind = "upper" if q < 0 else "lower"
-    return BoundReport(fam.regime, kind, h_given, gres, ratio, bracket, bound,
-                       necessary)
+    return _bound_report(problem.q, h_given, problem.V, problem.kernel, u,
+                         problem.u_threshold,
+                         zero_boundary=bool(hv[0] == 0.0 and hv[-1] == 0.0))
 
 
 def thm3_bound(q: float, V: GridFn, kernel: Kernel,
                u: GridFn | None = None,
                u_threshold: float | None = None) -> BoundReport:
-    """Source-free bounds driven by G V alone.
+    """Source-free bounds driven by G V alone: φ of the bracket t = (q-1)·GV.
 
-    q = 1: lower bound e^{-GV}; q > 1: [(q-1) GV]^{-1/(q-1)} where
-    necessarily GV > 0; 0 < q < 1: [-(1-q) G(χ_u V)]_+^{1/(1-q)};
-    q < 0: upper bound [-(1-q) GV]^{1/(1-q)} where necessarily GV < 0.
+    q = 1: lower bound e^{-GV}; otherwise t^{1/(1-q)}, that is
+    [(q-1) GV]^{-1/(q-1)} for q > 1 where necessarily GV > 0,
+    [-(1-q) G(χ_u V)]_+^{1/(1-q)} for 0 < q < 1, and the upper bound
+    [-(1-q) GV]^{1/(1-q)} for q < 0 where necessarily GV < 0.  The bracket
+    is passed to φ as is, so a tiny positive t gives a large finite bound.
     Nodes failing the necessity flag get nan bounds, not exceptions.
     """
     if not np.isfinite(q) or q == 0.0:
         raise DomainError(f"q must be nonzero finite, got {q}")
-    chi = None
-    if 0.0 < q < 1.0:
-        if u is None:
-            raise DomainError("0 < q < 1 needs u to restrict V to {u > 0}")
-        chi = _chi(u, u_threshold)
-        V = GridFn(V.grid, V.values * chi, fn=None)
+    fam = PhiFamily(q)
+    if fam.truncated:
+        one = GridFn(V.grid, np.ones(V.grid.n))
+        V = power_product(one, 1.0, V, _chi(u, u_threshold, "V"))
     gres = potential(kernel, V)
     gv = gres.value.values
-    n = V.grid.n
-    necessary = np.ones(n, bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if q == 1.0:
-            vals = np.exp(-gv)
-        elif q > 1.0:
-            necessary = gv > 0.0
-            vals = np.where(necessary, ((q - 1.0) * gv) ** (-1.0 / (q - 1.0)), np.nan)
-        elif q > 0.0:
-            vals = np.maximum(-(1.0 - q) * gv, 0.0) ** (1.0 / (1.0 - q))
-        else:
-            necessary = gv < 0.0
-            vals = np.where(necessary, (-(1.0 - q) * gv) ** (1.0 / (1.0 - q)), np.nan)
-    vals = np.where(gres.well_defined, vals, np.nan)
-    ratio = gv.copy()
-    bracket = np.where(np.isfinite(gv), 1.0 + (q - 1.0) * gv, np.nan)
-    fam = PhiFamily(q)
-    kind = "upper" if q < 0 else "lower"
-    return BoundReport(fam.regime, kind, None, gres, ratio, bracket,
-                       GridFn(V.grid, vals), necessary)
+    with np.errstate(invalid="ignore"):
+        t = (q - 1.0) * gv
+    necessary = np.ones(V.grid.n, bool)
+    if q == 1.0:
+        vals = phi_eval(fam, -gv)
+    else:
+        vals = _phi_of_bracket(fam, t)
+        if not fam.truncated:
+            necessary = t > 0.0
+    vals[~(necessary & gres.well_defined)] = np.nan
+    bracket = np.where(np.isfinite(gv), 1.0 + t, np.nan)
+    return BoundReport(fam.regime, "upper" if q < 0 else "lower", None, gres,
+                       gv.copy(), bracket, GridFn(V.grid, vals), necessary)
 
 
 def thm4_conditions(problem: Problem) -> BoundReport:
@@ -338,29 +299,20 @@ def thm4_conditions(problem: Problem) -> BoundReport:
         raise DomainError(f"thm4 conditions need q>1 or q<0, got q={q}")
 
     a_star, x_star = sharp_constants(q)
-    _, h = _solve_h(problem)
-    w = power_product(h, q, problem.V)
-    gres = potential(problem.kernel, w)
-    ratio, bracket, necessary, bound = _regime_bound(q, h, gres)
+    h = _solve_h(problem)
+    rep = _bound_report(q, h, problem.V, problem.kernel, None, None)
 
     hv = h.values
-    gv = gres.value.values
-    n = h.grid.n
-    sufficient = np.ones(n, bool)
+    gv = rep.ghqv.value.values
     inner = slice(1, -1)
     signed = -gv if q > 1.0 else gv
+    sufficient = np.ones(h.grid.n, bool)
     sufficient[inner] = signed[inner] <= a_star * hv[inner] * (1.0 + STRICT_SLACK) \
         + STRICT_SLACK * hv[inner]
-    sufficient &= gres.well_defined
-
+    rep.sufficient_ok = sufficient & rep.ghqv.well_defined
+    envelope = GridFn(h.grid, x_star * hv)
     if q > 1.0:
-        lower_env = bound
-        upper_env = GridFn(h.grid, x_star * hv)
+        rep.lower_envelope, rep.upper_envelope = rep.bound, envelope
     else:
-        lower_env = GridFn(h.grid, x_star * hv)
-        upper_env = bound
-    fam = PhiFamily(q)
-    kind = "upper" if q < 0 else "lower"
-    return BoundReport(fam.regime, kind, h, gres, ratio, bracket, bound,
-                       necessary, sufficient_ok=sufficient,
-                       lower_envelope=lower_env, upper_envelope=upper_env)
+        rep.lower_envelope, rep.upper_envelope = envelope, rep.bound
+    return rep

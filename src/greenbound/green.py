@@ -417,8 +417,8 @@ def power_product(h: GridFn, q: float, V: GridFn,
         raise InvalidGridError("h and V must share a grid")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = h.values ** q * V.values
-    if chi is not None:
-        w = w * chi
+        if chi is not None:
+            w = w * chi
     for idx, adj in ((0, 1), (-1, -2)):
         if not np.isfinite(w[idx]):
             ref = w[adj]

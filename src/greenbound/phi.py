@@ -74,6 +74,20 @@ def _as_given(x: np.ndarray, scalar: bool):
     return float(np.asarray(x).ravel()[0]) if scalar else x
 
 
+def _phi_of_bracket(fam: PhiFamily, t):
+    """φ read off its bracket t = (1-q)s + 1 (q != 1): t^{1/(1-q)}.
+
+    Truncated at t = 0 when 0 < q < 1.  Elsewhere a negative t gives nan,
+    so a caller passing brackets outside the closure of I_q masks them.
+    Taking t directly keeps a bracket that is small against 1 exact; it is
+    never rebuilt as 1 + (1-q)s from an s near the finite end of I_q.
+    """
+    if fam.truncated:
+        t = np.maximum(t, 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return t ** (1.0 / (1.0 - fam.q))
+
+
 def phi_eval(fam: PhiFamily, s):
     """φ(s); accepts scalars or arrays of extended reals.
 
@@ -85,16 +99,13 @@ def phi_eval(fam: PhiFamily, s):
     q = fam.q
     s = _snap(np.atleast_1d(np.asarray(s, dtype=float)), fam)
     if q == 1.0:
-        return _as_given(np.exp(s), scalar)
+        with np.errstate(over="ignore"):
+            return _as_given(np.exp(s), scalar)
     t = (1.0 - q) * s + 1.0
-    if fam.truncated:
-        t = np.maximum(t, 0.0)
-    else:
-        if np.any(t < 0):
-            lo, hi = fam.domain
-            raise DomainError(f"s outside closure of I_q=({lo},{hi}) for q={q}")
-    with np.errstate(divide="ignore", over="ignore"):
-        out = t ** (1.0 / (1.0 - q))
+    if not fam.truncated and np.any(t < 0):
+        lo, hi = fam.domain
+        raise DomainError(f"s outside closure of I_q=({lo},{hi}) for q={q}")
+    out = _phi_of_bracket(fam, t)
     # (1-q)s+1 evaluates to nan at s = -inf (q<1) / +inf (q>1); both map to
     # the same limit as t -> +inf.
     bad = np.isnan(out) & np.isinf(s)

@@ -23,16 +23,15 @@ everything here only assembles integrands and interprets results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._oscillate import green_apply_oscillatory
-from .domain import SCHEMA, Grid, GridFn, Interval, sample
+from .domain import SCHEMA, Grid, GridFn, Interval, sample, write_json
 from .errors import (InvalidScenarioError, ResolutionInsufficientError,
                      WindowTooSmallError)
-from .estimates import Problem, thm1_bound
+from .estimates import Problem, thm1_bound, unified_bound
 from .green import Kernel
 
 __all__ = [
@@ -49,6 +48,14 @@ __all__ = [
 ]
 
 
+SCENARIO_INTERVALS = {
+    "ex1": Interval(0.0, 1.0),
+    "ex2": Interval(0.0, 1.0),
+    "ex3": Interval(0.0, 1.0),
+    "ex4": Interval(-1.0, 1.0),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Identifier + parameters for one built-in scenario."""
@@ -62,7 +69,7 @@ class ScenarioSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.id not in ("ex1", "ex2", "ex3", "ex4"):
+        if self.id not in SCENARIO_INTERVALS:
             raise InvalidScenarioError(f"unknown scenario id {self.id!r}")
 
 
@@ -155,14 +162,19 @@ def _distance_power(interval: Interval, coef: float, beta: float):
     return V
 
 
+def _check_interval(sid: str, grid: Grid) -> None:
+    iv = SCENARIO_INTERVALS[sid]
+    if grid.interval != iv:
+        raise InvalidScenarioError(f"{sid} lives on ({iv.left:g},{iv.right:g})")
+
+
 def build_scenario(spec: ScenarioSpec) -> tuple[Problem, GridFn | None]:
     """Assemble (Problem, exact solution when known) for a scenario."""
     grid = spec.grid
+    _check_interval(spec.id, grid)
     one = sample(lambda x: 1.0, grid)
     kernel = Kernel.closed_form(grid.interval)
     if spec.id == "ex1":
-        if grid.interval != Interval(0.0, 1.0):
-            raise InvalidScenarioError("ex1 lives on (0,1)")
         if spec.alpha is None or not spec.alpha > 0:
             raise InvalidScenarioError("ex1 needs alpha > 0")
         if spec.q != 1.0:
@@ -171,8 +183,6 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Problem, GridFn | None]:
         problem = Problem(1.0, sample(fns["V"], grid), one, kernel)
         return problem, sample(fns["u"], grid)
     if spec.id in ("ex2", "ex3"):
-        if grid.interval != Interval(0.0, 1.0):
-            raise InvalidScenarioError(f"{spec.id} analogue lives on (0,1)")
         if not spec.q < 0:
             raise InvalidScenarioError(f"{spec.id} needs q < 0")
         if spec.beta is None or not spec.beta > 0:
@@ -185,8 +195,6 @@ def build_scenario(spec: ScenarioSpec) -> tuple[Problem, GridFn | None]:
             V = _distance_power(grid.interval, -1.0, spec.beta)
         return Problem(spec.q, sample(V, grid), one, kernel), None
     # ex4
-    if grid.interval != Interval(-1.0, 1.0):
-        raise InvalidScenarioError("ex4 lives on (-1,1)")
     if not spec.q < 0:
         raise InvalidScenarioError("ex4 needs q < 0")
     if spec.lam is None or spec.gamma is None:
@@ -331,9 +339,7 @@ class Ex1CancellationReport:
         return out
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.summary(), path)
 
 
 def _h01(x):
@@ -367,8 +373,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     """
     if not 0 < alpha <= 1:
         raise InvalidScenarioError("cancellation check covers 0 < alpha <= 1")
-    if grid.interval != Interval(0.0, 1.0):
-        raise InvalidScenarioError("ex1 lives on (0,1)")
+    _check_interval("ex1", grid)
     fns = ex1_functions(alpha)
 
     scan = np.concatenate([np.geomspace(1e-7, 1.0 - 1e-7, 120_000),
@@ -399,7 +404,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
         report.periods = res.periods
 
         u = fns["u"](xs)
-        bound = h * np.exp(-ratio)
+        bound = unified_bound(1.0, h, ratio)
         margin = (u - bound) / h
         report.bound_margin_min = float(np.min(margin))
         report.bound_violations = int(np.count_nonzero(margin < -1e-6))
@@ -489,9 +494,7 @@ class Ex4SharpnessReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.summary(), path)
 
 
 def sharpness_report_ex4(lam: float, gamma: float, q: float,

@@ -122,3 +122,22 @@ def test_deterministic_output(tmp_path, capsys):
                          "--out", str(path))
         assert code == 0
     assert a1.read_bytes() == a2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [("bound", "--scenario", "ex9"),
+                                  ("scenario", "--id", "ex9")])
+def test_unknown_scenario_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "unknown scenario" in err
+
+
+def test_power_distance_builtin_matches_ex2(tmp_path, capsys):
+    builtin = tmp_path / "builtin.csv"
+    scenario = tmp_path / "scenario.csv"
+    common = ("bound", "--q", "-0.5", "--grid-n", "401")
+    run(capsys, *common, "--V", "power-distance:1.5,0.8", "--f", "constant:1",
+        "--out", str(builtin))
+    run(capsys, *common, "--scenario", "ex2", "--lambda", "1.5", "--beta", "0.8",
+        "--out", str(scenario))
+    assert builtin.read_bytes() == scenario.read_bytes()

@@ -74,13 +74,15 @@ def test_unified_form_equivalence(setup, q):
     grid, k, one, h = setup
     V = sample(lambda x: 0.8 * np.cos(3 * x) - 0.2, grid)
     u = h if 0 < q < 1 else None
-    rep = thm1_bound(Problem(q, V, one, k), u=u)
-    uni = unified_bound(q, h.values, rep.ratio)
+    prob = Problem(q, V, one, k)
+    reports = [thm1_bound(prob, u=u), thm2_bound(prob, h, u=u)]
+    if q > 1 or q < 0:
+        signed = GridFn(grid, np.sign(1.0 - q) * np.abs(V.values))
+        reports.append(thm4_conditions(Problem(q, signed, one, k)))
     inner = slice(1, -1)
-    ok = np.isfinite(rep.bound.values[inner])
-    a = rep.bound.values[inner][ok]
-    b = uni[inner][ok]
-    assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(a)))
+    for rep in reports:
+        uni = unified_bound(q, rep.h.values, rep.ratio)
+        assert np.array_equal(rep.bound.values[inner], uni[inner], equal_nan=True)
 
 
 def test_monotone_in_V(setup):
@@ -181,6 +183,31 @@ def test_thm3_regimes(setup):
     r = thm3_bound(2.0, sample(lambda x: -1.0, grid), k)
     assert not r.necessary_ok[inner].any()
     assert np.isnan(r.bound.values[inner]).all()
+    # the bracket (q-1) GV goes to φ as is: where GV > 0 is tiny (3.4e-16
+    # here) the bound is large but finite, t^{-1/(q-1)} to the last bit
+    g2 = make_grid(Interval(-1.0, 1.0), 401)
+    r = thm3_bound(1.5, sample(lambda x: 40.0 * (x - 0.3), g2),
+                   Kernel.closed_form(g2.interval))
+    gv = r.ghqv.value.values
+    pos = gv > 0
+    assert np.array_equal(pos, r.necessary_ok)
+    assert np.min(gv[pos]) < 1e-15
+    assert np.all(np.isfinite(r.bound.values[pos]))
+    assert np.array_equal(r.bound.values[pos], (0.5 * gv[pos]) ** -2.0)
+
+
+def test_chi_at_singular_endpoint(setup):
+    # V = 0.3 d^{-1.2} is +inf at both ends, where χ_u = 0 for u = h
+    grid, k, one, h = setup
+    V = sample(lambda x: 0.3 * np.minimum(x, 1.0 - x) ** -1.2, grid)
+    r = thm3_bound(0.5, V, k, u=h)
+    expect = potential(k, GridFn(grid, V.values)).value.values
+    assert np.array_equal(r.ghqv.value.values, expect)
+    # a profile positive at the ends meets the same inf·0 in h^q V χ_u
+    # (RuntimeWarnings are errors under the test configuration)
+    h_pos = GridFn(grid, 1.0 + h.values)
+    rep = thm2_bound(Problem(0.5, V, one, k), h_pos, u=h)
+    assert np.all(np.isfinite(rep.bound.values[1:-1]))
 
 
 def test_thm4_threshold_constants():
