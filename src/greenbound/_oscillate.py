@@ -13,7 +13,8 @@ moments are accumulated, M0 = ∫ w and M1 = ∫ y·w; every interval is read
 off them as A = ΔM1 - a·ΔM0 and B = b·ΔM0 - ΔM1.  That makes nested
 exhaustion levels (a_m, b_m) cost one pass: the panels of the deepest
 level include every level's edges, and each level subtracts its own
-moments.  w is evaluated over the panels in fixed-size chunks, so peak
+moments.  The panel sums come from the Gauss panel-moment helper of
+:mod:`greenbound.green`, which evaluates w in fixed-size chunks, so peak
 memory does not grow with the number of resolved periods.
 
 Below the deepest resolved zero the remaining head of A is an alternating
@@ -35,11 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionInsufficientError
+from .green import _GAUSS_W as _GW, _GAUSS_X as _GX, _panel_moments
 
 __all__ = ["OscillatoryResult", "green_apply_oscillatory"]
-
-_GX, _GW = np.polynomial.legendre.leggauss(8)
-_CHUNK_PANELS = 1 << 15     # panels per w evaluation (8 Gauss points each)
 
 
 @dataclass(frozen=True)
@@ -103,22 +102,16 @@ def _resolved_range(w_fn, alpha, a, b, y_floor, head_budget, max_periods):
     return k_min, k_max, (not capped) and y_floor <= a
 
 
-def _panel_moments(w_fn, breaks):
-    """Per-panel Gauss sums of w and y·w, evaluating w chunk by chunk."""
-    lo, hi = breaks[:-1], breaks[1:]
-    m0 = np.empty(lo.size)
-    m1 = np.empty(lo.size)
-    for s in range(0, lo.size, _CHUNK_PANELS):
-        e = s + _CHUNK_PANELS
-        mid = 0.5 * (lo[s:e] + hi[s:e])
-        half = 0.5 * (hi[s:e] - lo[s:e])
-        yq = mid[:, None] + half[:, None] * _GX[None, :]
-        wq = half[:, None] * _GW[None, :]
-        fv = np.asarray(w_fn(yq.ravel()), dtype=float).reshape(yq.shape)
+def _running_moments(w_fn, breaks):
+    """Running sums M0 = ∫w and M1 = ∫y·w over the panels between breaks."""
+
+    def checked(y):
+        fv = np.asarray(w_fn(y), dtype=float)
         if not np.all(np.isfinite(fv)):
             raise ResolutionInsufficientError("w evaluated non-finite inside (a,b)")
-        m0[s:e] = np.sum(fv * wq, axis=1)
-        m1[s:e] = np.sum(yq * fv * wq, axis=1)
+        return fv
+
+    m0, m1 = _panel_moments(checked, breaks[:-1], breaks[1:])
     return (np.concatenate([[0.0], np.cumsum(m0)]),
             np.concatenate([[0.0], np.cumsum(m1)]))
 
@@ -188,7 +181,7 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
             extra.append(breaks[small] + widths[small] * j / subpanels_per_period)
     if extra:
         breaks = np.unique(np.concatenate([breaks] + extra))
-    M0, M1 = _panel_moments(w_fn, breaks)
+    M0, M1 = _running_moments(w_fn, breaks)
 
     ix = np.searchsorted(breaks, xs)
     i_lo = np.searchsorted(breaks, y_bot)[:, None]

@@ -6,7 +6,9 @@ Damped Newton on the central-difference residual
 
 with the tridiagonal Jacobian -Δ + diag(q V u^{q-1}).  The step is halved
 (at most 40 times) until positivity holds where required (q < 0 or
-non-integer q) and the sup-residual decreases.  One discrete Laplacian
+non-integer q) and the sup-residual decreases.  Newton stops once that
+residual meets ``tol`` or its rounding floor eps·(4 max|u|/Δx² +
+max|V u^q| + max|f|), below which it is noise.  One discrete Laplacian
 convention (central, Δx² denominator) is shared by the solver, the
 sub/supersolution checks, and the calculus-identity validator below, so
 their comparisons are stencil-consistent.
@@ -47,6 +49,7 @@ class NewtonReport:
     damping_events: int
     converged: bool
     residual_history: list = field(default_factory=list)
+    residual_floor: float = 0.0
 
     def to_json(self, path) -> None:
         write_json({
@@ -56,6 +59,7 @@ class NewtonReport:
             "iterations": self.iterations,
             "damping_events": self.damping_events,
             "residual_history": [float(r) for r in self.residual_history],
+            "residual_floor": self.residual_floor,
         }, path)
 
     def to_csv(self, path) -> None:
@@ -115,7 +119,16 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
     F = _fd_residual(u, u_l, u_r, V, f, q, dx)
     res = float(np.max(np.abs(F)))
     report_hist.append(res)
-    converged = res <= tol
+
+    def stop(u_in, r):
+        """(converged, floor): r meets tol or the rounding floor at u_in."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            size = (4.0 * max(np.max(np.abs(u_in)), abs(u_l), abs(u_r)) / dx ** 2
+                    + np.max(np.abs(V * u_in ** q)) + np.max(np.abs(f)))
+        floor = float(np.finfo(float).eps * size)
+        return bool(np.isfinite(r) and r <= max(tol, floor)), floor
+
+    converged, floor = stop(u, res)
     it = 0
     while not converged and it < max_iter:
         it += 1
@@ -160,11 +173,11 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
                     "positivity could not be restored by damping")
             break
         report_hist.append(res)
-        converged = res <= tol
+        converged, floor = stop(u, res)
 
     full = np.concatenate(([u_l], u, [u_r]))
     return NewtonReport(GridFn(grid, full), res, it, damping, converged,
-                        report_hist)
+                        report_hist, floor)
 
 
 def check_sub_super(sub: GridFn, super_: GridFn, problem: Problem,

@@ -230,7 +230,9 @@ def _cmd_scenario(args) -> int:
                    "weight_potential_infinite": True}
         write_json(summary, args.summary)
         return 1
-    fit = fit_boundary_rate(rep.ghqv.value, rep.h)
+    # fit the size of G(w): the absorbing ex3 weight has G(w) < 0
+    g = rep.ghqv.value
+    fit = fit_boundary_rate(GridFn(g.grid, np.abs(g.values)), rep.h)
     if args.out:
         rep.to_csv(args.out)
     write_json({

@@ -45,7 +45,7 @@ class PreconditionFailedError(GreenboundError):
 
     def __init__(self, message, nodes=None):
         super().__init__(message)
-        self.nodes = list(nodes) if nodes is not None else []
+        self.nodes = [int(i) for i in nodes] if nodes is not None else []
 
 
 class SolverFailureError(GreenboundError):

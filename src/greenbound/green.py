@@ -5,9 +5,12 @@ The closed-form kernel of -d²/dx² on (a,b) with zero boundary values is
     G(x,y) = min((x-a)(b-y), (y-a)(b-x)) / (b-a),
 
 symmetric, nonnegative, vanishing when x or y hits an endpoint, and linear
-in y on either side of the kink at y=x.  Potentials G f are computed with
-the split trapezoid rule, which is exact (up to rounding) whenever the
-integrand is piecewise linear with its only kink at a node.
+in y on either side of the kink at y=x.  Every potential is point masses
+m_j at the nodes summed through two running moments, Σ_{j<=i} (y_j-a) m_j
+and Σ_{j>i} (b-y_j) m_j, in O(n) time and memory (:meth:`Kernel.apply`).
+Split trapezoid weights give the masses of a smooth source, exact (up to
+rounding) whenever the integrand is piecewise linear with its only kink at
+a node.  The dense matrix exists only for tabulated kernels and CSV export.
 
 Sources that are +-inf at an endpoint are integrated against the kernel by
 splitting into positive/negative parts.  Because the kernel vanishes
@@ -22,9 +25,9 @@ surrogate for non-integrability used throughout the package.
 When the singular source carries an attached expression, the panels next
 to the refined one are integrated with per-panel Gauss-Legendre instead of
 the trapezoid rule (the kernel is linear in y on each panel, so only two
-scalar moments per panel are needed).  Value-only sources fall back to a
-power-law extrapolation through the two innermost interior nodes on the
-first panel alone.
+scalar moments per panel are needed, as masses at its end nodes).
+Value-only sources fall back to a power-law extrapolation through the two
+innermost interior nodes on the first panel alone.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_CHUNK_PANELS = 1 << 15     # panels per source evaluation (8 Gauss points each)
 
 REFINE_PANELS = 24
 SHELL_LEVELS = 60
@@ -86,7 +90,6 @@ class Kernel:
         self.interval = interval
         self._grid = grid
         self._matrix = matrix
-        self._cache: dict[tuple, np.ndarray] = {}
 
     @classmethod
     def closed_form(cls, interval: Interval) -> "Kernel":
@@ -137,16 +140,26 @@ class Kernel:
                               "no resampling between grids")
 
     def matrix_for(self, grid: Grid) -> np.ndarray:
-        """Kernel values at all node pairs of the grid (cached)."""
+        """Kernel values at all node pairs of the grid (built on each call)."""
         self._check_grid(grid)
         if not self.is_closed_form:
             return self._matrix
-        key = (grid.interval.left, grid.interval.right, grid.n)
-        mat = self._cache.get(key)
-        if mat is None:
-            mat = self.rows_at(grid.nodes, grid.nodes)
-            self._cache[key] = mat
-        return mat
+        return self.rows_at(grid.nodes, grid.nodes)
+
+    def apply(self, grid: Grid, mass: np.ndarray) -> np.ndarray:
+        """Σ_j G(x_i, y_j) mass_j at every node x_i of the grid.
+
+        The closed form takes two running moments, O(n) in time and memory;
+        a tabulated kernel multiplies by its matrix.
+        """
+        self._check_grid(grid)
+        if not self.is_closed_form:
+            return self._matrix @ mass
+        a, b = self.interval.left, self.interval.right
+        x = grid.nodes
+        left = np.cumsum((x - a) * mass)
+        right = np.append(np.cumsum(((b - x) * mass)[:0:-1])[::-1], 0.0)
+        return ((b - x) * left + (x - a) * right) / (b - a)
 
     def rows_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel values G(x_i, y_j); closed-form kernels evaluate anywhere."""
@@ -214,6 +227,20 @@ def _power_extrapolator(f1: float, f2: float, dx: float):
     return lambda d: f1 * (np.asarray(d, dtype=float) / dx) ** (-s)
 
 
+def _edge_source(pfn, pvals: np.ndarray, grid: Grid, inward: int):
+    """Nonnegative part at distance d from one endpoint (inward = 1 left, -1 right).
+
+    Its expression when attached, else a power law through the two
+    innermost interior nodes.
+    """
+    if pfn is None:
+        node = 1 if inward > 0 else grid.n - 2
+        return _power_extrapolator(float(pvals[node]), float(pvals[node + inward]),
+                                   grid.spacing)
+    edge = grid.interval.left if inward > 0 else grid.interval.right
+    return lambda d: pfn(edge + inward * np.asarray(d, dtype=float))
+
+
 def _singular_panel_moment(dx: float, eval_from_edge, weight_exponent: int = 1,
                            shell_levels: int = SHELL_LEVELS,
                            shell_points: int = SHELL_POINTS,
@@ -271,70 +298,64 @@ def _singular_panel_moment(dx: float, eval_from_edge, weight_exponent: int = 1,
     return total, False
 
 
-def _gauss_panel_moments(fn, lo: np.ndarray, hi: np.ndarray):
-    """Per-panel integrals of f and (y - lo)*f by 8-point Gauss-Legendre."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    y = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    w = half[:, None] * _GAUSS_W[None, :]
-    fv = np.asarray(fn(y.ravel()), dtype=float).reshape(y.shape)
-    a0 = np.sum(fv * w, axis=1)
-    a1 = np.sum(fv * (y - lo[:, None]) * w, axis=1)
-    return a0, a1
+def _panel_moments(fn, lo: np.ndarray, hi: np.ndarray, origin=0.0):
+    """Per-panel 8-point Gauss-Legendre sums of ∫f and ∫(y - origin)·f.
+
+    ``origin`` is a scalar or one value per panel, so that panel-local
+    moments keep their digits.  f is evaluated chunk by chunk, so peak
+    memory does not grow with the number of panels.
+    """
+    origin = np.broadcast_to(origin, lo.shape)
+    m0 = np.empty(lo.size)
+    m1 = np.empty(lo.size)
+    for s in range(0, lo.size, _CHUNK_PANELS):
+        e = s + _CHUNK_PANELS
+        mid = 0.5 * (lo[s:e] + hi[s:e])
+        half = 0.5 * (hi[s:e] - lo[s:e])
+        y = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
+        w = half[:, None] * _GAUSS_W[None, :]
+        fv = np.asarray(fn(y.ravel()), dtype=float).reshape(y.shape)
+        m0[s:e] = np.sum(fv * w, axis=1)
+        m1[s:e] = np.sum((y - origin[s:e, None]) * fv * w, axis=1)
+    return m0, m1
 
 
-def _integrate_part(kernel: Kernel, K: np.ndarray, grid: Grid,
+def _integrate_part(kernel: Kernel, grid: Grid,
                     pvals: np.ndarray, pfn, left_bad: bool, right_bad: bool,
                     refine_panels: int, shell_levels: int, shell_points: int,
                     divergence_ratio: float):
     """Potential of one nonnegative part with singular boundary panels.
 
-    Returns (values at all nodes, diverged_left, diverged_right).
+    The trapezoid core, the boundary shell moments and the Gauss panels
+    become point masses at nodes, summed by one kernel application.
+
+    Returns (values at all nodes, diverged); a diverged part reads +inf.
     """
     n = grid.n
     dx = grid.spacing
-    a, b = grid.interval.left, grid.interval.right
-
-    def refine_count(bad: bool) -> int:
-        if not bad:
-            return 0
-        if pfn is None:
-            return 1
-        return int(min(refine_panels, max(1, (n - 1) // 3)))
-
-    r_left = refine_count(left_bad)
-    r_right = refine_count(right_bad)
+    a = grid.interval.left
+    r_max = 1 if pfn is None else int(min(refine_panels, max(1, (n - 1) // 3)))
+    r_left, r_right = r_max * left_bad, r_max * right_bad
     j_lo, j_hi = r_left, n - 1 - r_right
 
-    wmid = _trap_weights(j_hi - j_lo + 1, dx)
-    out = K[:, j_lo:j_hi + 1] @ (pvals[j_lo:j_hi + 1] * wmid)
-
-    div_left = div_right = False
-    if r_left:
-        edge_eval = ((lambda d: pfn(a + np.asarray(d, dtype=float)))
-                     if pfn is not None
-                     else _power_extrapolator(float(pvals[1]), float(pvals[2]), dx))
-        m0, div_left = _singular_panel_moment(
-            dx, edge_eval, 1, shell_levels, shell_points, divergence_ratio)
-        if not div_left:
-            out += K[:, 1] * (m0 / dx)
-            if r_left > 1:
-                cols = np.arange(1, r_left)
-                a0, a1 = _gauss_panel_moments(pfn, a + dx * cols, a + dx * (cols + 1))
-                out += K[:, cols] @ (a0 - a1 / dx) + K[:, cols + 1] @ (a1 / dx)
-    if r_right:
-        edge_eval = ((lambda d: pfn(b - np.asarray(d, dtype=float)))
-                     if pfn is not None
-                     else _power_extrapolator(float(pvals[-2]), float(pvals[-3]), dx))
-        m0, div_right = _singular_panel_moment(
-            dx, edge_eval, 1, shell_levels, shell_points, divergence_ratio)
-        if not div_right:
-            out += K[:, n - 2] * (m0 / dx)
-            if r_right > 1:
-                cols = np.arange(n - 1 - r_right, n - 2)
-                a0, a1 = _gauss_panel_moments(pfn, a + dx * cols, a + dx * (cols + 1))
-                out += K[:, cols] @ (a0 - a1 / dx) + K[:, cols + 1] @ (a1 / dx)
-    return out, div_left, div_right
+    mass = np.zeros(n)
+    mass[j_lo:j_hi + 1] = pvals[j_lo:j_hi + 1] * _trap_weights(j_hi - j_lo + 1, dx)
+    for r, inward in ((r_left, 1), (r_right, -1)):
+        if not r:
+            continue
+        m0, diverged = _singular_panel_moment(
+            dx, _edge_source(pfn, pvals, grid, inward), 1,
+            shell_levels, shell_points, divergence_ratio)
+        if diverged:
+            return np.full(n, np.inf), True
+        mass[1 if inward > 0 else n - 2] += m0 / dx
+        if r > 1:
+            cols = np.arange(1, r) if inward > 0 else np.arange(n - 1 - r, n - 2)
+            lo = a + dx * cols
+            a0, a1 = _panel_moments(pfn, lo, a + dx * (cols + 1), lo)
+            mass[cols] += a0 - a1 / dx
+            mass[cols + 1] += a1 / dx
+    return kernel.apply(grid, mass), False
 
 
 def potential(kernel: Kernel, f: GridFn, *,
@@ -358,10 +379,8 @@ def potential(kernel: Kernel, f: GridFn, *,
     if not np.all(np.isfinite(vals[1:-1])):
         raise NotIntegrableError("interior values must be finite")
 
-    K = kernel.matrix_for(grid)
-    dx = grid.spacing
     if np.isfinite(vals[0]) and np.isfinite(vals[-1]):
-        out = K @ (vals * _trap_weights(n, dx))
+        out = kernel.apply(grid, vals * _trap_weights(n, grid.spacing))
         out[0] = out[-1] = 0.0
         return PotentialResult(GridFn(grid, out), np.ones(n, bool), False, False)
 
@@ -376,18 +395,16 @@ def potential(kernel: Kernel, f: GridFn, *,
 
     def run(part_vals, sign):
         if not np.any(part_vals > 0) and not (probe_left or probe_right):
-            return np.zeros(n), False, False
+            return np.zeros(n), False
         return _integrate_part(
-            kernel, K, grid, np.where(np.isfinite(part_vals), part_vals, 0.0),
+            kernel, grid, np.where(np.isfinite(part_vals), part_vals, 0.0),
             _part_fn(f.fn, sign),
             bool(np.isposinf(part_vals[0])) or probe_left,
             bool(np.isposinf(part_vals[-1])) or probe_right,
             refine_panels, shell_levels, shell_points, divergence_ratio)
 
-    pos_vec, pl, pr = run(pos_vals, +1)
-    neg_vec, nl, nr = run(neg_vals, -1)
-    plus_inf = pl or pr
-    minus_inf = nl or nr
+    pos_vec, plus_inf = run(pos_vals, +1)
+    neg_vec, minus_inf = run(neg_vals, -1)
 
     out = np.empty(n)
     well = np.ones(n, bool)
@@ -446,10 +463,11 @@ def _resample(f: GridFn, subgrid: Grid) -> GridFn:
     return GridFn(subgrid, np.interp(subgrid.nodes, f.grid.nodes[fin], f.values[fin]))
 
 
-def _potential_at_points(kernel: Kernel, f: GridFn, xs: np.ndarray) -> np.ndarray:
-    """Potential of a finite GridFn at arbitrary interior points, kink-exact.
+def _potential_at_points(f: GridFn, xs: np.ndarray) -> np.ndarray:
+    """Closed-form potential of a finite GridFn at interior points, kink-exact.
 
-    The trapezoid panel containing each x is re-split at x so the kernel
+    A(x) = ∫_a^x (y-a) f and B(x) = ∫_x^b (b-y) f are read off cumulative
+    trapezoid moments, with the panel containing x split at x so the kernel
     kink stays on a breakpoint.
     """
     grid = f.grid
@@ -458,111 +476,80 @@ def _potential_at_points(kernel: Kernel, f: GridFn, xs: np.ndarray) -> np.ndarra
     vals = f.values
     if not np.all(np.isfinite(vals)):
         raise NotIntegrableError("pointwise potential needs finite values")
-    xs = np.asarray(xs, dtype=float)
     a, b = grid.interval.left, grid.interval.right
-    rows = kernel.rows_at(xs, nodes)
-    g = rows * vals[None, :]
-    base = np.trapezoid(g, dx=dx, axis=1)
+    p = (nodes - a) * vals
+    r = (b - nodes) * vals
+    cum_p = np.concatenate(([0.0], np.cumsum(0.5 * dx * (p[:-1] + p[1:]))))
+    cum_r = np.concatenate(([0.0], np.cumsum(0.5 * dx * (r[:0:-1] + r[-2::-1]))))[::-1]
     idx = np.clip(((xs - a) / dx).astype(int), 0, grid.n - 2)
     yl, yr = nodes[idx], nodes[idx + 1]
-    ii = np.arange(xs.size)
-    gl, gr = g[ii, idx], g[ii, idx + 1]
-    if f.fn is not None:
-        fx = _vectorized(f.fn)(xs)
-    else:
-        fx = np.interp(xs, nodes, vals)
-    if kernel.is_closed_form:
-        kx = (xs - a) * (b - xs) / (b - a)
-    else:
-        kx = np.array([kernel.eval(float(x), float(x)) for x in xs])
-    gx = kx * fx
-    exact = 0.5 * (xs - yl) * (gl + gx) + 0.5 * (yr - xs) * (gx + gr)
-    return base - 0.5 * dx * (gl + gr) + exact
+    fx = _vectorized(f.fn)(xs) if f.fn is not None else np.interp(xs, nodes, vals)
+    A = cum_p[idx] + 0.5 * (xs - yl) * (p[idx] + (xs - a) * fx)
+    B = cum_r[idx + 1] + 0.5 * (yr - xs) * ((b - xs) * fx + r[idx + 1])
+    return ((b - xs) * A + (xs - a) * B) / (b - a)
+
+
+def _exhaustion(kernel: Kernel, f: GridFn, xs: np.ndarray, levels: int):
+    """Potentials over Ω_m = (a+δ_m, b-δ_m), δ_m = (b-a)/2^{m+2}, at points xs.
+
+    Row m-1 holds level m; points outside Ω_m read NaN.  Each level uses
+    the closed-form kernel of its own subinterval on a fresh uniform
+    subgrid with the same node count, resampling f through its expression
+    when attached (linear interpolation otherwise).
+    """
+    if not kernel.is_closed_form:
+        raise DomainError("improper potentials need a closed-form kernel")
+    grid = f.grid
+    a, b = grid.interval.left, grid.interval.right
+    deltas = [(b - a) / 2.0 ** (m + 2) for m in range(1, levels + 1)]
+    seq = np.full((len(deltas), xs.size), np.nan)
+    for row, delta in zip(seq, deltas):
+        sub = Interval(a + delta, b - delta)
+        inside = (xs > sub.left) & (xs < sub.right)
+        if inside.any():
+            row[inside] = _potential_at_points(_resample(f, Grid(sub, grid.n)),
+                                               xs[inside])
+    return seq, deltas
 
 
 def potential_improper(kernel: Kernel, f: GridFn, levels: int = 20) -> ImproperPotential:
     """Improper potential via the exhaustion Ω_m = (a+δ_m, b-δ_m).
 
-    δ_m = (b-a)/2^{m+2} for m = 1..levels; each level uses the closed-form
-    kernel of its own subinterval on a fresh uniform subgrid with the same
-    node count, resampling f through its expression when attached (linear
-    interpolation otherwise).  The returned value is the deepest level; the
-    full sequence is kept for liminf diagnostics.  Boundary nodes, which lie
+    The value is the deepest level (see :func:`_exhaustion`); the full
+    sequence is kept for liminf diagnostics.  Boundary nodes, which lie
     outside every Ω_m, are pinned to the Dirichlet limit 0.
     """
     if levels < 2:
         raise DomainError("need at least 2 exhaustion levels")
-    if not kernel.is_closed_form:
-        raise DomainError("potential_improper needs a closed-form kernel")
-    grid = f.grid
-    kernel._check_grid(grid)
-    a, b = grid.interval.left, grid.interval.right
-    L = b - a
-    nodes = grid.nodes
-    seq, deltas = [], []
-    final = np.full(grid.n, np.nan)
-    for m in range(1, levels + 1):
-        delta = L / 2.0 ** (m + 2)
-        sub = Interval(a + delta, b - delta)
-        subgrid = Grid(sub, grid.n)
-        fsub = _resample(f, subgrid)
-        subkernel = Kernel.closed_form(sub)
-        inside = (nodes > sub.left) & (nodes < sub.right)
-        level_vals = np.full(grid.n, np.nan)
-        if inside.any():
-            level_vals[inside] = _potential_at_points(subkernel, fsub, nodes[inside])
-        seq.append(level_vals)
-        deltas.append(delta)
-        final = np.where(np.isnan(level_vals), final, level_vals)
+    kernel._check_grid(f.grid)
+    seq, deltas = _exhaustion(kernel, f, f.grid.nodes, levels)
+    final = seq[-1].copy()      # the widest Ω_m contains every other one
     final[0] = final[-1] = 0.0
-    return ImproperPotential(GridFn(grid, final), seq, deltas)
+    return ImproperPotential(GridFn(f.grid, final), list(seq), deltas)
 
 
 def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
                           levels: int = 20) -> list[float]:
     """Exhaustion sequence of the improper potential at a single point."""
-    if not kernel.is_closed_form:
-        raise DomainError("improper potentials need a closed-form kernel")
-    grid = f.grid
-    a, b = grid.interval.left, grid.interval.right
-    L = b - a
-    out = []
-    for m in range(1, levels + 1):
-        delta = L / 2.0 ** (m + 2)
-        sub = Interval(a + delta, b - delta)
-        if not sub.left < x < sub.right:
-            continue
-        subgrid = Grid(sub, grid.n)
-        fsub = _resample(f, subgrid)
-        out.append(float(_potential_at_points(Kernel.closed_form(sub), fsub,
-                                              np.array([x]))[0]))
+    seq, _ = _exhaustion(kernel, f, np.array([float(x)]), levels)
+    out = [float(v) for v in seq[:, 0] if not np.isnan(v)]
     if not out:
         raise DomainError(f"x={x} outside every exhaustion subdomain")
     return out
 
 
-def _signed_edge_moment(V: GridFn, side: str, weight_exponent: int,
+def _signed_edge_moment(V: GridFn, inward: int, weight_exponent: int,
                         shell_levels: int, shell_points: int,
                         divergence_ratio: float):
     """Signed boundary moment ∫ d^e V for the panel next to one endpoint."""
-    grid = V.grid
-    dx = grid.spacing
-    a, b = grid.interval.left, grid.interval.right
-    vals = V.values
     total = 0.0
     for sign in (+1, -1):
-        if V.fn is not None:
-            pf = _part_fn(V.fn, sign)
-            edge_eval = (lambda d: pf(a + np.asarray(d, dtype=float))) if side == "left" \
-                else (lambda d: pf(b - np.asarray(d, dtype=float)))
-        else:
-            v1 = vals[1] if side == "left" else vals[-2]
-            v2 = vals[2] if side == "left" else vals[-3]
-            edge_eval = _power_extrapolator(max(sign * float(v1), 0.0),
-                                            max(sign * float(v2), 0.0), dx)
-        m, div = _singular_panel_moment(dx, edge_eval, weight_exponent,
+        edge_eval = _edge_source(_part_fn(V.fn, sign), np.maximum(sign * V.values, 0.0),
+                                 V.grid, inward)
+        m, div = _singular_panel_moment(V.grid.spacing, edge_eval, weight_exponent,
                                         shell_levels, shell_points, divergence_ratio)
         if div:
+            side = "left" if inward > 0 else "right"
             raise NotIntegrableError(
                 f"iterated kernel integrand not integrable near {side} endpoint")
         total += sign * m
@@ -596,11 +583,9 @@ def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float, *,
 
     left_bad = not np.isfinite(vals[0])
     right_bad = not np.isfinite(vals[-1])
-    j_lo = 1 if left_bad else 0
-    j_hi = n - 2 if right_bad else n - 1
+    j_lo, j_hi = int(left_bad), n - 1 - int(right_bad)
 
-    kx = kernel.rows_at(np.array([x]), nodes)[0]
-    ky = kernel.rows_at(np.array([y]), nodes)[0]
+    kx, ky = kernel.rows_at(np.array([x, y]), nodes)
     core = kx * ky * np.where(np.isfinite(vals), vals, 0.0)
     w = _trap_weights(j_hi - j_lo + 1, dx)
     total = float(core[j_lo:j_hi + 1] @ w)
@@ -615,14 +600,11 @@ def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float, *,
         total += (0.5 * (t - yl) * (gl + gt) + 0.5 * (yr - t) * (gt + gr)
                   - 0.5 * dx * (gl + gr))
 
-    if left_bad:
-        m2 = _signed_edge_moment(V, "left", 2, shell_levels, shell_points,
-                                 divergence_ratio)
-        total += (b - x) * (b - y) / L ** 2 * m2
-    if right_bad:
-        m2 = _signed_edge_moment(V, "right", 2, shell_levels, shell_points,
-                                 divergence_ratio)
-        total += (x - a) * (y - a) / L ** 2 * m2
+    for bad, inward, weight in ((left_bad, 1, (b - x) * (b - y)),
+                                (right_bad, -1, (x - a) * (y - a))):
+        if bad:
+            total += weight / L ** 2 * _signed_edge_moment(
+                V, inward, 2, shell_levels, shell_points, divergence_ratio)
     return total
 
 

@@ -24,6 +24,7 @@ everything here only assembles integrands and interprets results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -347,6 +348,15 @@ def _h01(x):
     return 0.5 * x * (1.0 - x)
 
 
+@cache
+def _positivity_scan() -> np.ndarray:
+    """Points of (0,1) where ex1's D is checked for positivity, built once."""
+    scan = np.concatenate([np.geomspace(1e-7, 1.0 - 1e-7, 120_000),
+                           np.linspace(1e-7, 1.0 - 1e-7, 80_000)])
+    scan.setflags(write=False)      # shared by every call
+    return scan
+
+
 def verify_cancellation_ex1(alpha: float, grid: Grid, *,
                             head_budget: float = 5e-11,
                             max_periods: int = 400_000,
@@ -376,9 +386,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     _check_interval("ex1", grid)
     fns = ex1_functions(alpha)
 
-    scan = np.concatenate([np.geomspace(1e-7, 1.0 - 1e-7, 120_000),
-                           np.linspace(1e-7, 1.0 - 1e-7, 80_000)])
-    positivity_min = float(np.min(fns["D"](scan)))
+    positivity_min = float(np.min(fns["D"](_positivity_scan())))
 
     report = Ex1CancellationReport(alpha=alpha, positivity_min=positivity_min)
 

@@ -81,6 +81,20 @@ def test_fd_newton_quadratic_tail(unit):
         assert r1 <= 1e4 * r0 ** 2
 
 
+@pytest.mark.parametrize("n", [2001, 8001])
+@pytest.mark.parametrize("q,c", [(3.0, -2.0), (2.0, 0.5)])
+def test_fd_newton_stops_at_rounding_floor(q, c, n):
+    # the sup-residual cannot fall below ~eps·max|u|/dx², which exceeds the
+    # default tol = 1e-10 on fine grids; convergence is declared at the floor
+    grid = make_grid(Interval(0.0, 1.0), n)
+    k = Kernel.closed_form(grid.interval)
+    prob = Problem(q, sample(lambda x: c, grid), sample(lambda x: 1.0, grid), k)
+    rep = fd_solve(prob)
+    assert rep.converged
+    assert rep.residual_floor > 1e-10
+    assert rep.residual_norm <= rep.residual_floor
+
+
 def test_check_sub_super_h_supersolution(unit):
     grid, k, one, h = unit
     q = -1.0

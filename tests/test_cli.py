@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +142,31 @@ def test_power_distance_builtin_matches_ex2(tmp_path, capsys):
     run(capsys, *common, "--scenario", "ex2", "--lambda", "1.5", "--beta", "0.8",
         "--out", str(scenario))
     assert builtin.read_bytes() == scenario.read_bytes()
+
+
+@pytest.mark.parametrize("beta,model", [(0.1, "bounded"), (1.0, "power")])
+def test_scenario_command_ex3_rate(capsys, beta, model):
+    # V = -d^{-beta} absorbs, so G(h^q V) < 0; the rate is that of |G(w)|/h,
+    # with weight exponent e = beta - q: bounded for e < 0.75, d^{1-e} from 1.45
+    q = -0.5
+    code, out, _ = run(capsys, "scenario", "--id", "ex3", "--q", str(q),
+                       "--beta", str(beta))
+    assert code == 0
+    rates = json.loads(out)["fitted_rates"]
+    assert rates["model"] == model
+    if model == "power":
+        assert rates["slope"] == pytest.approx(1.0 - (beta - q), abs=0.05)
+
+
+def test_readme_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("greenbound ")]
+    assert len(examples) == 8
+    monkeypatch.chdir(tmp_path)
+    write_gridfn_csv(sample(lambda x: -1.0 - x, make_grid(Interval(0.0, 1.0), 2001)),
+                     "v.csv")
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

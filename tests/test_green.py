@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,60 @@ def test_tabulated_kernel_grid_mismatch():
     tab = Kernel.tabulated(grid, Kernel.closed_form(grid.interval).matrix_for(grid))
     with pytest.raises(DomainError):
         potential(tab, sample(lambda x: 1.0, other))
+
+
+def _dense_at_points(f, xs):
+    """Split-trapezoid potential at points xs from dense closed-form kernel rows."""
+    grid = f.grid
+    a, b = grid.interval.left, grid.interval.right
+    dx = grid.spacing
+    g = Kernel.closed_form(grid.interval).rows_at(xs, grid.nodes) * f.values
+    idx = np.clip(((xs - a) / dx).astype(int), 0, grid.n - 2)
+    ii = np.arange(xs.size)
+    gl, gr = g[ii, idx], g[ii, idx + 1]
+    gx = (xs - a) * (b - xs) / (b - a) * f.fn(xs)
+    split = (0.5 * (xs - grid.nodes[idx]) * (gl + gx)
+             + 0.5 * (grid.nodes[idx + 1] - xs) * (gx + gr))
+    return np.trapezoid(g, dx=dx, axis=1) - 0.5 * dx * (gl + gr) + split
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 2001])
+def test_two_moment_apply_matches_dense_kernel(n):
+    grid = make_grid(Interval(-1.0, 2.0), n)
+    closed = Kernel.closed_form(grid.interval)
+    tab = Kernel.tabulated(grid, closed.matrix_for(grid))
+    a, b = grid.interval.left, grid.interval.right
+    sources = [lambda x: np.cos(3.0 * x) - 0.2,
+               lambda x: (x - a) ** -1.5 - 0.5 * (b - x) ** -0.7,
+               lambda x: np.minimum(x - a, b - x) ** -1.2 * np.sin(5.0 * x)]
+    for fn in sources:
+        f = sample(fn, grid)
+        for src in (f, GridFn(grid, f.values)):
+            got = potential(closed, src).value.values
+            ref = potential(tab, src).value.values
+            scale = np.max(np.abs(ref[np.isfinite(ref)]), initial=1.0)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * scale)
+    smooth = sample(sources[0], grid)
+    imp = potential_improper(closed, smooth, levels=3)
+    probes = np.flatnonzero(np.isfinite(imp.sequence[0]))[::max(1, n // 40)]
+    for delta, level in zip(imp.deltas, imp.sequence):
+        sub = make_grid(Interval(a + delta, b - delta), n)
+        ref = _dense_at_points(GridFn(sub, sources[0](sub.nodes), fn=sources[0]),
+                               grid.nodes[probes])
+        assert np.max(np.abs(level[probes] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_potentials_run_in_linear_memory():
+    grid = make_grid(Interval(0.0, 1.0), 4001)
+    k = Kernel.closed_form(grid.interval)
+    smooth = sample(lambda x: np.cos(x), grid)
+    singular = sample(lambda x: min(x, 1 - x) ** -1.5, grid)
+    tracemalloc.start()
+    try:
+        potential(k, smooth)
+        potential(k, singular)
+        potential_improper(k, smooth, levels=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6    # a dense 4001² kernel alone is 128 MB
