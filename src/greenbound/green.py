@@ -17,10 +17,12 @@ splitting into positive/negative parts.  Because the kernel vanishes
 linearly at the endpoints, the boundary-panel contribution of a part
 factorizes into a scalar first moment of the source times a per-node
 kernel factor; the moment is evaluated with an open midpoint rule on
-dyadically shrinking shells.  A part is declared to integrate to +inf when
-three consecutive dyadic refinements of that panel keep growing without
-slowing (successive increment ratio >= 0.9); this is the numerical
-surrogate for non-integrability used throughout the package.
+dyadically shrinking shells, every shell from one call on one node array.
+The stop and divergence rule is read off the vector of shell values: a
+part is declared to integrate to +inf when three consecutive dyadic
+refinements of that panel keep growing without slowing (successive
+increment ratio >= 0.9); this is the numerical surrogate for
+non-integrability used throughout the package.
 
 When the singular source carries an attached expression, the panels next
 to the refined one are integrated with per-panel Gauss-Legendre instead of
@@ -62,6 +64,12 @@ REFINE_PANELS = 24
 SHELL_LEVELS = 60
 SHELL_POINTS = 48
 DIVERGENCE_RATIO = 0.9
+# symmetrized Kronecker offsets of the shell nodes: equal weights,
+# midpoint-symmetric (so linear integrands are integrated exactly), and
+# irrational spacing that defeats the phase locking of rapidly oscillating
+# sources on rational node lattices
+_KRONECKER = np.mod(np.arange(1, SHELL_POINTS // 2 + 1) * 0.6180339887498949, 1.0)
+_SHELL_OFFSETS = np.sort(np.concatenate([0.5 * _KRONECKER, 1.0 - 0.5 * _KRONECKER]))
 
 
 def _vectorized(fn: Callable) -> Callable:
@@ -238,59 +246,57 @@ def _edge_source(pfn, pvals: np.ndarray, grid: Grid, inward: int):
         return _power_extrapolator(float(pvals[node]), float(pvals[node + inward]),
                                    grid.spacing)
     edge = grid.interval.left if inward > 0 else grid.interval.right
-    return lambda d: pfn(edge + inward * np.asarray(d, dtype=float))
+
+    def source(d):
+        # distances below half an ulp of the edge round onto it: read +inf
+        # there (zeroed by the caller) instead of evaluating the endpoint
+        x = edge + inward * np.asarray(d, dtype=float)
+        off_edge = x != edge
+        out = np.full(x.shape, np.inf)
+        out[off_edge] = pfn(x[off_edge])
+        return out
+
+    return source
 
 
-def _singular_panel_moment(dx: float, eval_from_edge, weight_exponent: int = 1,
-                           shell_levels: int = SHELL_LEVELS,
-                           shell_points: int = SHELL_POINTS,
-                           divergence_ratio: float = DIVERGENCE_RATIO):
+def _singular_panel_moment(dx: float, eval_from_edge, weight_exponent: int = 1):
     """Open-midpoint moment of the boundary panel next to a singular endpoint.
 
     Integrates d^e * f over distances d in (0, dx) from the endpoint, where
     ``eval_from_edge(d)`` returns the (nonnegative) source at distance d and
-    e = ``weight_exponent``.  Dyadic shells [dx 2^{-m-1}, dx 2^{-m}] are
-    summed with a composite midpoint rule.  Divergence (the part integrates
-    to +inf) is declared when three consecutive dyadic refinements keep the
-    increment ratio >= ``divergence_ratio``.
+    e = ``weight_exponent``.  The dyadic shells [dx 2^{-m-1}, dx 2^{-m}],
+    m < SHELL_LEVELS, are summed with a composite midpoint rule, all of them
+    from one call on the SHELL_LEVELS x SHELL_POINTS array of nodes.  The
+    stop and divergence rule is then read off the vector of shell values:
+    shells are added until one falls below 1e-18 of the running total, and
+    divergence (the part integrates to +inf) is declared when three
+    consecutive shells keep the increment ratio >= DIVERGENCE_RATIO.
 
     Returns (moment, diverged).
     """
-    # symmetrized Kronecker offsets: equal weights, midpoint-symmetric (so
-    # linear integrands are integrated exactly), and irrational spacing that
-    # defeats the phase locking of rapidly oscillating sources on rational
-    # node lattices
-    half = max(1, shell_points // 2)
-    base = np.mod((np.arange(1, half + 1)) * 0.6180339887498949, 1.0)
-    offs = np.sort(np.concatenate([0.5 * base, 1.0 - 0.5 * base]))
-
-    def shell(m: int) -> float:
-        hi = dx * 2.0 ** (-m)
-        lo = hi / 2.0
-        width = hi - lo
-        d = lo + offs * width
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = (d ** weight_exponent) * np.asarray(eval_from_edge(d), dtype=float)
-        g = np.where(np.isfinite(g), g, 0.0)
-        return float(np.sum(g) * (width / offs.size))
+    hi = dx * 2.0 ** -np.arange(SHELL_LEVELS)
+    lo = hi / 2.0
+    width = hi - lo
+    d = lo[:, None] + _SHELL_OFFSETS * width[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = (d ** weight_exponent) * np.asarray(eval_from_edge(d), dtype=float)
+    g = np.where(np.isfinite(g), g, 0.0)
+    shells = np.sum(g, axis=1) * (width / _SHELL_OFFSETS.size)
 
     total = 0.0
-    prev = None
-    prev2 = None
+    prev = prev2 = None
     slow = 0
-    for m in range(shell_levels):
-        cur = shell(m)
+    for cur in shells.tolist():
         total += cur
         if prev is not None and prev > 0.0 and cur > 0.0:
-            slow = slow + 1 if cur / prev >= divergence_ratio else 0
+            slow = slow + 1 if cur / prev >= DIVERGENCE_RATIO else 0
             if slow >= 3:
                 return np.inf, True
         elif prev is not None:
             slow = 0
-        if abs(cur) <= 1e-18 * max(abs(total), 1e-300):
-            prev2, prev = prev, cur
-            break
         prev2, prev = prev, cur
+        if abs(cur) <= 1e-18 * max(abs(total), 1e-300):
+            break
     if prev and prev2:
         r = prev / prev2
         if 0.0 < r < 0.95:
@@ -321,9 +327,7 @@ def _panel_moments(fn, lo: np.ndarray, hi: np.ndarray, origin=0.0):
 
 
 def _integrate_part(kernel: Kernel, grid: Grid,
-                    pvals: np.ndarray, pfn, left_bad: bool, right_bad: bool,
-                    refine_panels: int, shell_levels: int, shell_points: int,
-                    divergence_ratio: float):
+                    pvals: np.ndarray, pfn, left_bad: bool, right_bad: bool):
     """Potential of one nonnegative part with singular boundary panels.
 
     The trapezoid core, the boundary shell moments and the Gauss panels
@@ -334,7 +338,7 @@ def _integrate_part(kernel: Kernel, grid: Grid,
     n = grid.n
     dx = grid.spacing
     a = grid.interval.left
-    r_max = 1 if pfn is None else int(min(refine_panels, max(1, (n - 1) // 3)))
+    r_max = 1 if pfn is None else int(min(REFINE_PANELS, max(1, (n - 1) // 3)))
     r_left, r_right = r_max * left_bad, r_max * right_bad
     j_lo, j_hi = r_left, n - 1 - r_right
 
@@ -343,9 +347,7 @@ def _integrate_part(kernel: Kernel, grid: Grid,
     for r, inward in ((r_left, 1), (r_right, -1)):
         if not r:
             continue
-        m0, diverged = _singular_panel_moment(
-            dx, _edge_source(pfn, pvals, grid, inward), 1,
-            shell_levels, shell_points, divergence_ratio)
+        m0, diverged = _singular_panel_moment(dx, _edge_source(pfn, pvals, grid, inward))
         if diverged:
             return np.full(n, np.inf), True
         mass[1 if inward > 0 else n - 2] += m0 / dx
@@ -358,11 +360,7 @@ def _integrate_part(kernel: Kernel, grid: Grid,
     return kernel.apply(grid, mass), False
 
 
-def potential(kernel: Kernel, f: GridFn, *,
-              refine_panels: int = REFINE_PANELS,
-              shell_levels: int = SHELL_LEVELS,
-              shell_points: int = SHELL_POINTS,
-              divergence_ratio: float = DIVERGENCE_RATIO) -> PotentialResult:
+def potential(kernel: Kernel, f: GridFn) -> PotentialResult:
     """Green potential (G f)(x_i) = ∫ G(x_i,y) f(y) dy at every node.
 
     f may be signed and may be +-inf at the endpoints (integrably singular
@@ -400,8 +398,7 @@ def potential(kernel: Kernel, f: GridFn, *,
             kernel, grid, np.where(np.isfinite(part_vals), part_vals, 0.0),
             _part_fn(f.fn, sign),
             bool(np.isposinf(part_vals[0])) or probe_left,
-            bool(np.isposinf(part_vals[-1])) or probe_right,
-            refine_panels, shell_levels, shell_points, divergence_ratio)
+            bool(np.isposinf(part_vals[-1])) or probe_right)
 
     pos_vec, plus_inf = run(pos_vals, +1)
     neg_vec, minus_inf = run(neg_vals, -1)
@@ -538,16 +535,13 @@ def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
     return out
 
 
-def _signed_edge_moment(V: GridFn, inward: int, weight_exponent: int,
-                        shell_levels: int, shell_points: int,
-                        divergence_ratio: float):
+def _signed_edge_moment(V: GridFn, inward: int, weight_exponent: int):
     """Signed boundary moment ∫ d^e V for the panel next to one endpoint."""
     total = 0.0
     for sign in (+1, -1):
         edge_eval = _edge_source(_part_fn(V.fn, sign), np.maximum(sign * V.values, 0.0),
                                  V.grid, inward)
-        m, div = _singular_panel_moment(V.grid.spacing, edge_eval, weight_exponent,
-                                        shell_levels, shell_points, divergence_ratio)
+        m, div = _singular_panel_moment(V.grid.spacing, edge_eval, weight_exponent)
         if div:
             side = "left" if inward > 0 else "right"
             raise NotIntegrableError(
@@ -556,10 +550,7 @@ def _signed_edge_moment(V: GridFn, inward: int, weight_exponent: int,
     return total
 
 
-def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float, *,
-                    shell_levels: int = SHELL_LEVELS,
-                    shell_points: int = SHELL_POINTS,
-                    divergence_ratio: float = DIVERGENCE_RATIO) -> float:
+def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float) -> float:
     """Second kernel iteration ∫ G(x,z) G(z,y) V(z) dz.
 
     Split trapezoid with breakpoints at both kernel kinks.  Endpoint-singular
@@ -603,8 +594,7 @@ def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float, *,
     for bad, inward, weight in ((left_bad, 1, (b - x) * (b - y)),
                                 (right_bad, -1, (x - a) * (y - a))):
         if bad:
-            total += weight / L ** 2 * _signed_edge_moment(
-                V, inward, 2, shell_levels, shell_points, divergence_ratio)
+            total += weight / L ** 2 * _signed_edge_moment(V, inward, 2)
     return total
 
 

@@ -162,3 +162,29 @@ def test_trace_export_steps(setting):
     tr = solve_integral_equation(k, h, GridFn(grid, 0.1 * h.values), -1.0)
     steps = tr.export_steps()
     assert steps[0]["k"] == 0 and "residual" in steps[0] and "b_k" in steps[0]
+
+
+@pytest.mark.parametrize("q,ratio,k_stop,converged,accelerated", [
+    (-2.0, 0.5, 14, True, False), (-2.0, 1.0, 200, False, False),
+    (-0.5, 0.5, 12, True, False), (-0.5, 1.0, 20, True, True),
+    (3.0, 0.5, 17, True, False), (3.0, 1.0, 200, False, False)])
+def test_tangent_style_weights_keep_their_iterates(q, ratio, k_stop, converged,
+                                                   accelerated):
+    # V = ±c h^{-q} makes h^q V = ±c, 0·inf at both endpoints, so every map
+    # application integrates both boundary panels by shell moments; u = x_c h
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    k = Kernel.closed_form(grid.interval)
+    h = potential(k, sample(lambda x: 1.0, grid)).value
+    a_star, x_star = sharp_constants(q)
+    c = ratio * a_star
+    with np.errstate(divide="ignore"):
+        V = GridFn(grid, (c if q < 0 else -c) * h.values ** (-q))
+    tr = solve_integral_equation(k, h, V, q, k_max=200)
+    assert (tr.k_stop, tr.converged, tr.accelerated) == (k_stop, converged, accelerated)
+    if converged:
+        x_c = 1.0
+        for _ in range(2000):
+            x_c = 1.0 - c * x_c ** q if q < 0 else 1.0 + c * x_c ** q
+        x_c = x_c if ratio < 1.0 else x_star
+        hv = h.values
+        assert np.max(np.abs(tr.solution.values - x_c * hv)) <= 1e-7 * np.max(hv)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from greenbound import (DomainError, GridFn, Interval, Kernel,
                         iterated_kernel, kernel_eval, make_grid, potential,
                         potential_improper, power_product, read_kernel_csv,
                         sample, write_kernel_csv)
+from greenbound import green
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +305,99 @@ def test_potentials_run_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6    # a dense 4001² kernel alone is 128 MB
+
+
+def _shell_by_shell_moment(dx, eval_from_edge, weight_exponent=1):
+    """Reference: the boundary-panel moment one shell call at a time."""
+    base = np.mod(np.arange(1, green.SHELL_POINTS // 2 + 1) * 0.6180339887498949, 1.0)
+    offs = np.sort(np.concatenate([0.5 * base, 1.0 - 0.5 * base]))
+
+    def shell(m):
+        hi = dx * 2.0 ** (-m)
+        lo = hi / 2.0
+        width = hi - lo
+        d = lo + offs * width
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = (d ** weight_exponent) * np.asarray(eval_from_edge(d), dtype=float)
+        g = np.where(np.isfinite(g), g, 0.0)
+        return float(np.sum(g) * (width / offs.size))
+
+    total = 0.0
+    prev = prev2 = None
+    slow = 0
+    for m in range(green.SHELL_LEVELS):
+        cur = shell(m)
+        total += cur
+        if prev is not None and prev > 0.0 and cur > 0.0:
+            slow = slow + 1 if cur / prev >= green.DIVERGENCE_RATIO else 0
+            if slow >= 3:
+                return np.inf, True
+        elif prev is not None:
+            slow = 0
+        prev2, prev = prev, cur
+        if abs(cur) <= 1e-18 * max(abs(total), 1e-300):
+            break
+    if prev and prev2:
+        r = prev / prev2
+        if 0.0 < r < 0.95:
+            total += prev * r / (1.0 - r)
+    return total, False
+
+
+def _edge_sources(grid, beta):
+    d = np.minimum(grid.nodes - grid.interval.left, grid.interval.right - grid.nodes)
+    with np.errstate(divide="ignore"):
+        vals = d ** -beta
+    return [
+        green._edge_source(None, vals, grid, 1),
+        green._edge_source(None, vals, grid, -1),
+        green._edge_source(green._part_fn(lambda x: x ** -beta, 1), vals, grid, 1),
+        green._edge_source(green._part_fn(lambda x: (1.0 - x) ** -beta, 1), vals, grid, -1),
+        green._edge_source(green._part_fn(
+            lambda x: (1.0 - x) ** -beta * np.sin(1.0 / (1.0 - x)), -1), vals, grid, -1),
+    ]
+
+
+def test_shell_stack_matches_shell_by_shell_loop():
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    dx = grid.spacing
+    for beta in np.arange(0.1, 3.45, 0.1):
+        for src in _edge_sources(grid, beta):
+            for weight in (1, 2):
+                got = green._singular_panel_moment(dx, src, weight)
+                assert got == _shell_by_shell_moment(dx, src, weight), (beta, weight)
+    # a source that diverges within the first shells
+    early = green._edge_source(green._part_fn(lambda x: x ** -6.0, 1), None, grid, 1)
+    assert green._singular_panel_moment(dx, early, 1) == (np.inf, True)
+    assert _shell_by_shell_moment(dx, early, 1) == (np.inf, True)
+
+
+def test_attached_expression_called_once_per_edge_and_part():
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    k = Kernel.closed_form(grid.interval)
+    sizes = []
+
+    def expr(x):
+        sizes.append(np.size(x))
+        return np.minimum(x, 1.0 - x) ** -0.5
+
+    f = sample(expr, grid)
+    sizes.clear()
+    green._singular_panel_moment(grid.spacing,
+                                 green._edge_source(green._part_fn(expr, 1), None, grid, -1))
+    assert len(sizes) == 1
+    sizes.clear()
+    assert potential(k, f).finite
+    # two parts x two probed edges x (one shell stack + one batch of Gauss panels)
+    assert len(sizes) == 8
+
+
+def test_scalar_expression_never_evaluated_at_the_endpoint():
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    k = Kernel.closed_form(grid.interval)
+    vals = np.append((1.0 - grid.nodes[:-1]) ** -1.5, np.inf)
+    got = potential(k, GridFn(grid, vals, fn=lambda x: math.pow(1.0 - x, -1.5)))
+    want = potential(k, GridFn(grid, vals, fn=lambda x: (1.0 - x) ** -1.5))
+    assert got.finite and want.finite
+    ref = want.value.values
+    assert np.max(np.abs(got.value.values - ref)) <= 1e-14 * np.max(np.abs(ref))
