@@ -17,8 +17,7 @@ from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
                      SolverFailureError, WindowTooSmallError)
 from .green import (ImproperPotential, Kernel, PotentialResult,
                     improper_potential_at, iterated_kernel, kernel_eval,
-                    potential, potential_improper, power_product,
-                    read_kernel_csv, write_kernel_csv)
+                    potential, potential_improper, power_product)
 from .phi import PhiFamily, phi_derivs, phi_eval, phi_inverse
 from .estimates import (BoundReport, Problem, thm1_bound, thm2_bound,
                         thm3_bound, thm4_conditions, unified_bound)

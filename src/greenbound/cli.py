@@ -22,6 +22,7 @@ flags win.  All floating output is written with full round-trip precision
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -91,12 +92,16 @@ def _coefficient(spec_text, grid, name):
     text = str(spec_text)
     if text.startswith("constant:"):
         c = float(text.split(":", 1)[1])
+        if not math.isfinite(c):
+            raise ConfigError(f"{name} builtin {text!r} needs a finite parameter")
         return sample(lambda x, c=c: c, grid)
     if text.startswith("power-distance:"):
         try:
             coef, beta = (float(v) for v in text.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad {name} builtin {text!r}") from exc
+        if not (math.isfinite(coef) and math.isfinite(beta)):
+            raise ConfigError(f"{name} builtin {text!r} needs finite parameters")
         return sample(_distance_power(grid.interval, coef, beta), grid)
     fn = read_gridfn_csv(text)
     if fn.grid != grid:

@@ -10,7 +10,7 @@ m_j at the nodes summed through two running moments, Σ_{j<=i} (y_j-a) m_j
 and Σ_{j>i} (b-y_j) m_j, in O(n) time and memory (:meth:`Kernel.apply`).
 Split trapezoid weights give the masses of a smooth source, exact (up to
 rounding) whenever the integrand is piecewise linear with its only kink at
-a node.  The dense matrix exists only for tabulated kernels and CSV export.
+a node.
 
 Sources that are +-inf at an endpoint are integrated against the kernel by
 splitting into positive/negative parts.  Because the kernel vanishes
@@ -34,7 +34,6 @@ innermost interior nodes on the first panel alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,8 +52,6 @@ __all__ = [
     "improper_potential_at",
     "iterated_kernel",
     "power_product",
-    "read_kernel_csv",
-    "write_kernel_csv",
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -90,79 +87,38 @@ def _vectorized(fn: Callable) -> Callable:
     return call
 
 
+@dataclass(frozen=True)
 class Kernel:
-    """Symmetric nonnegative Dirichlet kernel: closed form or tabulated."""
+    """Closed-form Dirichlet kernel min((x-a)(b-y), (y-a)(b-x))/(b-a) of -d²/dx²."""
 
-    def __init__(self, interval: Interval, grid: Grid | None = None,
-                 matrix: np.ndarray | None = None):
-        self.interval = interval
-        self._grid = grid
-        self._matrix = matrix
+    interval: Interval
 
     @classmethod
     def closed_form(cls, interval: Interval) -> "Kernel":
         """Kernel of -d²/dx² with zero Dirichlet data on the interval."""
         return cls(interval)
 
-    @classmethod
-    def tabulated(cls, grid: Grid, matrix: np.ndarray) -> "Kernel":
-        m = np.asarray(matrix, dtype=float)
-        n = grid.n
-        if m.shape != (n, n):
-            raise InvalidGridError(f"kernel matrix shape {m.shape} != ({n},{n})")
-        scale = max(1.0, float(np.abs(m).max()))
-        if not np.allclose(m, m.T, rtol=1e-10, atol=1e-14 * scale):
-            raise InvalidGridError("tabulated kernel must be symmetric")
-        if m.min() < 0:
-            raise InvalidGridError("tabulated kernel must be nonnegative")
-        if max(np.abs(m[0]).max(), np.abs(m[-1]).max()) > 1e-10 * scale:
-            raise InvalidGridError("tabulated kernel must vanish on the boundary rows")
-        return cls(grid.interval, grid=grid, matrix=m.copy())
-
-    @property
-    def is_closed_form(self) -> bool:
-        return self._matrix is None
-
     def eval(self, x: float, y: float) -> float:
         a, b = self.interval.left, self.interval.right
         if not (a <= x <= b and a <= y <= b):
             raise DomainError(f"point ({x},{y}) outside kernel interval [{a},{b}]")
-        if self.is_closed_form:
-            return float(min((x - a) * (b - y), (y - a) * (b - x)) / (b - a))
-        g = self._grid
-        fx = np.clip((x - a) / g.spacing, 0, g.n - 1)
-        fy = np.clip((y - a) / g.spacing, 0, g.n - 1)
-        i0 = min(int(fx), g.n - 2)
-        j0 = min(int(fy), g.n - 2)
-        tx, ty = fx - i0, fy - j0
-        m = self._matrix
-        return float((1 - tx) * (1 - ty) * m[i0, j0] + tx * (1 - ty) * m[i0 + 1, j0]
-                     + (1 - tx) * ty * m[i0, j0 + 1] + tx * ty * m[i0 + 1, j0 + 1])
+        return float(min((x - a) * (b - y), (y - a) * (b - x)) / (b - a))
 
     def _check_grid(self, grid: Grid) -> None:
-        if self.is_closed_form:
-            if grid.interval != self.interval:
-                raise DomainError("grid interval does not match kernel interval")
-        elif grid != self._grid:
-            raise DomainError("tabulated kernels require the integrand's own grid; "
-                              "no resampling between grids")
+        if grid.interval != self.interval:
+            raise DomainError("grid interval does not match kernel interval")
 
     def matrix_for(self, grid: Grid) -> np.ndarray:
         """Kernel values at all node pairs of the grid (built on each call)."""
         self._check_grid(grid)
-        if not self.is_closed_form:
-            return self._matrix
         return self.rows_at(grid.nodes, grid.nodes)
 
     def apply(self, grid: Grid, mass: np.ndarray) -> np.ndarray:
         """Σ_j G(x_i, y_j) mass_j at every node x_i of the grid.
 
-        The closed form takes two running moments, O(n) in time and memory;
-        a tabulated kernel multiplies by its matrix.
+        The closed form takes two running moments, O(n) in time and memory.
         """
         self._check_grid(grid)
-        if not self.is_closed_form:
-            return self._matrix @ mass
         a, b = self.interval.left, self.interval.right
         x = grid.nodes
         left = np.cumsum((x - a) * mass)
@@ -170,15 +126,13 @@ class Kernel:
         return ((b - x) * left + (x - a) * right) / (b - a)
 
     def rows_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Kernel values G(x_i, y_j); closed-form kernels evaluate anywhere."""
-        if self.is_closed_form:
-            a, b = self.interval.left, self.interval.right
-            X = np.asarray(xs, dtype=float)[:, None]
-            Y = np.asarray(ys, dtype=float)[None, :]
-            mat = np.minimum((X - a) * (b - Y), (Y - a) * (b - X)) / (b - a)
-            np.clip(mat, 0.0, None, out=mat)
-            return mat
-        return np.array([[self.eval(float(x), float(y)) for y in ys] for x in xs])
+        """Kernel values G(x_i, y_j) from the closed form, at any points."""
+        a, b = self.interval.left, self.interval.right
+        X = np.asarray(xs, dtype=float)[:, None]
+        Y = np.asarray(ys, dtype=float)[None, :]
+        mat = np.minimum((X - a) * (b - Y), (Y - a) * (b - X)) / (b - a)
+        np.clip(mat, 0.0, None, out=mat)
+        return mat
 
 
 def kernel_eval(kernel: Kernel, x: float, y: float) -> float:
@@ -494,8 +448,6 @@ def _exhaustion(kernel: Kernel, f: GridFn, xs: np.ndarray, levels: int):
     subgrid with the same node count, resampling f through its expression
     when attached (linear interpolation otherwise).
     """
-    if not kernel.is_closed_form:
-        raise DomainError("improper potentials need a closed-form kernel")
     grid = f.grid
     a, b = grid.interval.left, grid.interval.right
     deltas = [(b - a) / 2.0 ** (m + 2) for m in range(1, levels + 1)]
@@ -597,31 +549,3 @@ def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float) -> float:
             total += weight / L ** 2 * _signed_edge_moment(V, inward, 2)
     return total
 
-
-def write_kernel_csv(kernel: Kernel, grid: Grid, path) -> None:
-    """CSV matrix: header row of y nodes, first column of x nodes."""
-    m = kernel.matrix_for(grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x\\y"] + [format(v, ".17g") for v in grid.nodes])
-        for xi, row in zip(grid.nodes, m):
-            writer.writerow([format(xi, ".17g")] + [format(v, ".17g") for v in row])
-
-
-def read_kernel_csv(path) -> Kernel:
-    """Read a tabulated kernel written by :func:`write_kernel_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ys = np.array([float(v) for v in header[1:]])
-        xs, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            xs.append(float(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    xs = np.asarray(xs)
-    if xs.size != ys.size or not np.allclose(xs, ys):
-        raise InvalidGridError("kernel CSV must tabulate a square symmetric grid")
-    grid = Grid(Interval(float(xs[0]), float(xs[-1])), xs.size)
-    return Kernel.tabulated(grid, np.asarray(rows))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -59,6 +60,16 @@ def test_bound_bracket_violation_exit_code(capsys):
 
 def test_malformed_config_exit_code(capsys):
     code, _, err = run(capsys, "bound", "--grid-n", "101")
+    assert code == 3
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("argv", [("--V", "constant:nan"), ("--V", "constant:inf"),
+                                  ("--V", "constant:1", "--f", "constant:nan"),
+                                  ("--V", "power-distance:nan,0.5"),
+                                  ("--V", "power-distance:1,inf")])
+def test_non_finite_builtin_is_config_error(capsys, argv):
+    code, _, err = run(capsys, "bound", "--q", "2", "--grid-n", "101", *argv)
     assert code == 3
     assert "config error" in err
 
@@ -158,15 +169,33 @@ def test_scenario_command_ex3_rate(capsys, beta, model):
         assert rates["slope"] == pytest.approx(1.0 - (beta - q), abs=0.05)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_readme_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    """Every README example, and the unknown-id cases, against the golden set.
+
+    tests/golden/readme_cli.json holds, per command, the exit code and the
+    SHA-256 of its stdout and of every file it writes.  A change that moves
+    a hash must say which one and why.
+    """
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     examples = [line.split()[1:] for line in block.splitlines()
                 if line.startswith("greenbound ")]
     assert len(examples) == 8
+    golden = json.loads((Path(__file__).parent / "golden" / "readme_cli.json").read_text())
     monkeypatch.chdir(tmp_path)
     write_gridfn_csv(sample(lambda x: -1.0 - x, make_grid(Interval(0.0, 1.0), 2001)),
                      "v.csv")
-    for argv in examples:
-        code, _, err = run(capsys, *argv)
-        assert code == 0, (argv, err)
+    got = {}
+    for argv in examples + [["bound", "--scenario", "ex9"], ["scenario", "--id", "ex9"]]:
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code, out, err = run(capsys, *argv)
+        assert code == (3 if "ex9" in argv else 0), (argv, err)
+        got[" ".join(argv)] = {
+            "exit": code, "stdout": _sha256(out.encode()),
+            "files": {p.name: _sha256(p.read_bytes()) for p in sorted(tmp_path.iterdir())
+                      if before.get(p.name) != p.read_bytes()}}
+    assert got == golden
