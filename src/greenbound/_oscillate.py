@@ -40,6 +40,9 @@ from .green import _GAUSS_W as _GW, _GAUSS_X as _GX, _panel_moments
 
 __all__ = ["OscillatoryResult", "green_apply_oscillatory"]
 
+FILL_WIDTH = 0.01           # widest panel between sign changes
+SUBPANELS_PER_PERIOD = 2    # Gauss panels per sign interval narrower than that
+
 
 @dataclass(frozen=True)
 class OscillatoryResult:
@@ -119,8 +122,6 @@ def _running_moments(w_fn, breaks):
 def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
                             head_budget: float = 1e-11,
                             max_periods: int = 1_500_000,
-                            fill_width: float = 0.01,
-                            subpanels_per_period: int = 2,
                             y_floor: float = 0.0) -> OscillatoryResult:
     """Evaluate (G w)(x) on (a,b) for all x in xs, in ascending order of x.
 
@@ -171,16 +172,14 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     breaks = breaks[(breaks >= y_bottom) & (breaks <= b_top)]
     widths = np.diff(breaks)
     extra = []
-    wide = np.flatnonzero(widths > fill_width)
+    wide = np.flatnonzero(widths > FILL_WIDTH)
     for i in wide:
-        m = int(np.ceil(widths[i] / fill_width))
+        m = int(np.ceil(widths[i] / FILL_WIDTH))
         extra.append(breaks[i] + widths[i] * np.arange(1, m) / m)
-    if subpanels_per_period > 1:
-        small = np.flatnonzero(widths <= fill_width)
-        for j in range(1, subpanels_per_period):
-            extra.append(breaks[small] + widths[small] * j / subpanels_per_period)
-    if extra:
-        breaks = np.unique(np.concatenate([breaks] + extra))
+    small = np.flatnonzero(widths <= FILL_WIDTH)
+    for j in range(1, SUBPANELS_PER_PERIOD):
+        extra.append(breaks[small] + widths[small] * j / SUBPANELS_PER_PERIOD)
+    breaks = np.unique(np.concatenate([breaks] + extra))
     M0, M1 = _running_moments(w_fn, breaks)
 
     ix = np.searchsorted(breaks, xs)

@@ -5,13 +5,14 @@ Damped Newton on the central-difference residual
     F(u)_i = -(u_{i+1} - 2 u_i + u_{i-1}) / Δx² + V_i u_i^q - f_i
 
 with the tridiagonal Jacobian -Δ + diag(q V u^{q-1}).  The step is halved
-(at most 40 times) until positivity holds where required (q < 0 or
+(at most MAX_HALVINGS times) until positivity holds where required (q < 0 or
 non-integer q) and the sup-residual decreases.  Newton stops once that
 residual meets ``tol`` or its rounding floor eps·(4 max|u|/Δx² +
-max|V u^q| + max|f|), below which it is noise.  One discrete Laplacian
-convention (central, Δx² denominator) is shared by the solver, the
-sub/supersolution checks, and the calculus-identity validator below, so
-their comparisons are stencil-consistent.
+max|V u^q| + max|f|), below which it is noise.  One discrete Laplacian,
+``domain.laplacian_1d`` (central, Δx² denominator), is shared by the
+solver, the sub/supersolution checks, the calculus-identity validator below
+and the superharmonicity check of ``thm2_bound``, so their comparisons are
+stencil-consistent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import SCHEMA, GridFn, write_gridfn_csv, write_json
+from .domain import (SCHEMA, GridFn, gradient_1d, laplacian_1d, write_gridfn_csv,
+                     write_json)
 from .errors import (DomainError, InfeasibleStartError, NotOrderedError,
                      SolverFailureError)
 from .estimates import Problem
@@ -30,15 +32,8 @@ from .phi import PhiFamily, phi_derivs, phi_eval
 __all__ = ["NewtonReport", "fd_solve", "check_sub_super",
            "lemma41_identity_check", "laplacian_1d", "gradient_1d"]
 
-
-def laplacian_1d(vals: np.ndarray, dx: float) -> np.ndarray:
-    """Central second difference at interior nodes."""
-    return (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / dx ** 2
-
-
-def gradient_1d(vals: np.ndarray, dx: float) -> np.ndarray:
-    """Central first difference at interior nodes."""
-    return (vals[2:] - vals[:-2]) / (2.0 * dx)
+MAX_ITER = 60           # Newton steps
+MAX_HALVINGS = 40       # step halvings per Newton step
 
 
 @dataclass
@@ -80,8 +75,7 @@ def _fd_residual(u_in: np.ndarray, u_l: float, u_r: float, V: np.ndarray,
 
 
 def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
-             init: GridFn | None = None, tol: float = 1e-10,
-             max_iter: int = 60, max_halvings: int = 40) -> NewtonReport:
+             init: GridFn | None = None, tol: float = 1e-10) -> NewtonReport:
     """Damped-Newton solve of the discretized equation.
 
     ``init`` defaults to the boundary lift plus h = G f, floored at 1e-8
@@ -130,7 +124,7 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
 
     converged, floor = stop(u, res)
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < MAX_ITER:
         it += 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             diag = 2.0 / dx ** 2 + q * V * u ** (q - 1.0)
@@ -153,7 +147,7 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
 
         lam = 1.0
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = u + lam * step
             if positivity and np.any(trial <= 0.0):
                 lam *= 0.5
@@ -199,9 +193,7 @@ def check_sub_super(sub: GridFn, super_: GridFn, problem: Problem,
     q = problem.q
 
     def resid(g: GridFn) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            power = g.values[1:-1] ** q
-        return -laplacian_1d(g.values, dx) + V * power - f
+        return _fd_residual(g.values[1:-1], g.values[0], g.values[-1], V, f, q, dx)
 
     sub_ok = np.ones(grid.n, bool)
     sup_ok = np.ones(grid.n, bool)

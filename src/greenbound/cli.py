@@ -12,10 +12,15 @@ identity-check  product-rule identity discrepancy across grid levels
 Exit codes: 0 success, 1 precondition/condition failure, 2 numerical
 non-convergence, 3 malformed configuration.
 
+Each command accepts only the flags it reads (see ``<command> --help``);
+any other flag, a non-finite number or a malformed value exits 3.  A flat
+key=value file passed with --config sets the command's defaults: keys are
+flag dests (grid_n, V_file, f_file, lam, ...), values are checked like
+flags, and explicit flags win.
+
 V and f can be CSV files (columns x,value), built-ins "constant:<c>" or
 "power-distance:<coef>,<beta>" (coef · d(x)^{-beta}), or come from a named
-scenario.  A flat key=value config file mirrors the long flags; explicit
-flags win.  All floating output is written with full round-trip precision
+scenario.  All floating output is written with full round-trip precision
 (%.17g in CSV); outputs are deterministic for identical configurations.
 """
 
@@ -68,41 +73,43 @@ def _read_config(path) -> dict:
     return out
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-        for key, val in cfg.items():
-            if not hasattr(args, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            if getattr(args, key) is None:
-                setattr(args, key, val)
-    return args
-
-
-def _parse_interval(text) -> Interval:
+def _finite(text) -> float:
+    """A finite float: nan and inf are malformed configuration."""
     try:
-        a, b = (float(v) for v in str(text).split(","))
-        return Interval(a, b)
-    except (ValueError, InvalidGridError) as exc:
-        raise ConfigError(f"bad interval {text!r}: {exc}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _pair(text) -> tuple[float, float]:
+    """Two finite floats written a,b."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected a,b, got {text!r}")
+    return _finite(parts[0]), _finite(parts[1])
+
+
+def _format(text) -> str:
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"expected csv or json, got {text!r}")
+    return text
 
 
 def _coefficient(spec_text, grid, name):
     """Build a GridFn from a builtin spec string or a CSV file path."""
     text = str(spec_text)
-    if text.startswith("constant:"):
-        c = float(text.split(":", 1)[1])
-        if not math.isfinite(c):
-            raise ConfigError(f"{name} builtin {text!r} needs a finite parameter")
-        return sample(lambda x, c=c: c, grid)
-    if text.startswith("power-distance:"):
-        try:
-            coef, beta = (float(v) for v in text.split(":", 1)[1].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad {name} builtin {text!r}") from exc
-        if not (math.isfinite(coef) and math.isfinite(beta)):
-            raise ConfigError(f"{name} builtin {text!r} needs finite parameters")
-        return sample(_distance_power(grid.interval, coef, beta), grid)
+    params = text.split(":", 1)[-1]
+    try:
+        if text.startswith("constant:"):
+            c = _finite(params)
+            return sample(lambda x, c=c: c, grid)
+        if text.startswith("power-distance:"):
+            return sample(_distance_power(grid.interval, *_pair(params)), grid)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"bad {name} builtin {text!r}: {exc}") from exc
     fn = read_gridfn_csv(text)
     if fn.grid != grid:
         raise ConfigError(f"{name} file grid does not match --grid-n/--interval")
@@ -110,28 +117,23 @@ def _coefficient(spec_text, grid, name):
 
 
 def _problem_from_args(args) -> tuple[Problem, GridFn | None]:
-    n = int(args.grid_n or 2001)
-    q = float(args.q) if args.q is not None else None
     if args.scenario:
-        sid = str(args.scenario)
+        sid = args.scenario
         if sid not in SCENARIO_INTERVALS:
             raise ConfigError(f"unknown scenario {sid!r}")
-        grid = make_grid(SCENARIO_INTERVALS[sid], n)
-        spec = ScenarioSpec(
-            sid, grid, q=q if q is not None else (1.0 if sid == "ex1" else -1.0),
-            alpha=float(args.alpha) if args.alpha is not None else None,
-            lam=float(getattr(args, "lam")) if getattr(args, "lam") is not None else None,
-            beta=float(args.beta) if args.beta is not None else None,
-            gamma=float(args.gamma) if args.gamma is not None else None)
-        return build_scenario(spec)
+        grid = make_grid(SCENARIO_INTERVALS[sid], args.grid_n)
+        q = args.q if args.q is not None else (1.0 if sid == "ex1" else -1.0)
+        return build_scenario(ScenarioSpec(sid, grid, q=q, alpha=args.alpha,
+                                           lam=args.lam, beta=args.beta,
+                                           gamma=args.gamma))
     if args.V is None and args.V_file is None:
         raise ConfigError("need --V/--V-file or --scenario")
-    if q is None:
+    if args.q is None:
         raise ConfigError("need --q")
-    grid = make_grid(_parse_interval(args.interval or "0,1"), n)
+    grid = make_grid(Interval(*args.interval), args.grid_n)
     V = _coefficient(args.V_file or args.V, grid, "V")
     f = _coefficient(args.f_file or args.f or "constant:1", grid, "f")
-    return Problem(q, V, f, Kernel.closed_form(grid.interval)), None
+    return Problem(args.q, V, f, Kernel.closed_form(grid.interval)), None
 
 
 def _cmd_bound(args) -> int:
@@ -163,9 +165,8 @@ def _cmd_bound(args) -> int:
 def _cmd_solve_integral(args) -> int:
     problem, _ = _problem_from_args(args)
     h = potential(problem.kernel, problem.f).value
-    tol = float(args.tolerance) if args.tolerance is not None else None
     trace = solve_integral_equation(problem.kernel, h, problem.V, problem.q,
-                                    tol=tol, k_max=int(args.kmax or 10000))
+                                    tol=args.tolerance, k_max=args.kmax)
     if args.out:
         write_gridfn_csv(trace.solution, args.out)
     write_json({
@@ -182,14 +183,7 @@ def _cmd_solve_integral(args) -> int:
 
 def _cmd_solve_bvp(args) -> int:
     problem, _ = _problem_from_args(args)
-    boundary = (0.0, 0.0)
-    if args.boundary:
-        parts = str(args.boundary).split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad boundary {args.boundary!r}")
-        boundary = (float(parts[0]), float(parts[1]))
-    tol = float(args.tolerance) if args.tolerance is not None else 1e-8
-    report = fd_solve(problem, boundary=boundary, tol=tol)
+    report = fd_solve(problem, boundary=args.boundary, tol=args.tolerance)
     if args.out:
         report.to_csv(args.out)
     write_json({
@@ -205,29 +199,21 @@ def _cmd_solve_bvp(args) -> int:
 def _cmd_scenario(args) -> int:
     if not args.id:
         raise ConfigError("scenario command needs --id")
-    sid = str(args.id)
-    n = int(args.grid_n or 2001)
+    sid = args.id
     if sid not in SCENARIO_INTERVALS:
         raise ConfigError(f"unknown scenario id {sid!r}")
-    grid = make_grid(SCENARIO_INTERVALS[sid], n)
-    if sid == "ex1":
-        rep = verify_cancellation_ex1(float(args.alpha or 0.5), grid)
+    grid = make_grid(SCENARIO_INTERVALS[sid], args.grid_n)
+    q = (-1.0 if sid == "ex4" else -0.5) if args.q is None else args.q
+    # ex3's V = -d^{-beta} has no lambda; ex2 and ex4 default to lambda = 1
+    lam = 1.0 if args.lam is None and sid != "ex3" else args.lam
+    if sid in ("ex1", "ex4"):
+        rep = (verify_cancellation_ex1(args.alpha, grid) if sid == "ex1"
+               else sharpness_report_ex4(lam, args.gamma, q, grid))
         if args.out:
             rep.curves_to_csv(args.out)
         write_json(rep.summary(), args.summary)
         return 0
-    if sid == "ex4":
-        rep = sharpness_report_ex4(float(getattr(args, "lam") or 1.0),
-                                   float(args.gamma or 1.0),
-                                   float(args.q or -1.0), grid)
-        if args.out:
-            rep.curves_to_csv(args.out)
-        write_json(rep.summary(), args.summary)
-        return 0
-    spec = ScenarioSpec(sid, grid, q=float(args.q or -0.5),
-                        lam=(float(getattr(args, "lam")) if getattr(args, "lam")
-                             is not None else (1.0 if sid == "ex2" else None)),
-                        beta=float(args.beta or 1.0))
+    spec = ScenarioSpec(sid, grid, q=q, lam=lam, beta=args.beta)
     problem, _ = build_scenario(spec)
     rep = thm1_bound(problem)
     if rep.ghqv.plus_infinite or rep.ghqv.minus_infinite:
@@ -255,12 +241,12 @@ def _cmd_scenario(args) -> int:
 def _cmd_recurrence(args) -> int:
     if args.q is None or args.a is None:
         raise ConfigError("recurrence needs --q and --a")
-    seq = scalar_recurrence(float(args.q), float(args.a), int(args.kmax or 200))
+    seq = scalar_recurrence(args.q, args.a, args.kmax)
     write_json({
         "schema": SCHEMA,
-        "q": float(args.q),
-        "a": float(args.a),
-        "k_max": int(args.kmax or 200),
+        "q": args.q,
+        "a": args.a,
+        "k_max": args.kmax,
         "b_sequence": seq,
     }, args.summary)
     return 0
@@ -269,14 +255,12 @@ def _cmd_recurrence(args) -> int:
 def _cmd_identity_check(args) -> int:
     if args.q is None:
         raise ConfigError("identity-check needs --q")
-    fam = PhiFamily(float(args.q))
-    n0 = int(args.grid_n or 101)
-    levels = int(args.levels or 3)
+    fam = PhiFamily(args.q)
     rng = np.random.default_rng(0)
     a1, a2 = rng.uniform(0.1, 0.4, 2)
     discrepancies = []
-    n = n0
-    for _ in range(levels + 1):
+    n = args.grid_n
+    for _ in range(args.levels + 1):
         grid = make_grid(Interval(0.0, 1.0), n)
         x = grid.nodes
         h = GridFn(grid, 2.0 + np.cos(2 * np.pi * x) + a1 * np.sin(4 * np.pi * x))
@@ -287,73 +271,103 @@ def _cmd_identity_check(args) -> int:
               for i in range(len(discrepancies) - 1)]
     write_json({
         "schema": SCHEMA,
-        "q": float(args.q),
-        "n0": n0,
+        "q": args.q,
+        "n0": args.grid_n,
         "discrepancies": discrepancies,
         "halving_ratios": ratios,
     }, args.summary)
     return 0
 
 
+# add_argument keywords per flag (none: a string, default None); a
+# command's own defaults override these
+_FLAGS = {
+    "--config": dict(help="flat key=value config file; keys are flag dests"),
+    "--q": dict(type=_finite),
+    "--grid-n": dict(type=int, default=2001),
+    "--interval": dict(type=_pair, default=(0.0, 1.0), help="a,b (default 0,1)"),
+    "--V": dict(help="builtin: constant:<c> | power-distance:<coef>,<beta>"),
+    "--alpha": dict(type=_finite),
+    "--lambda": dict(dest="lam", type=_finite),
+    "--beta": dict(type=_finite),
+    "--gamma": dict(type=_finite),
+    "--a": dict(type=_finite),
+    "--kmax": dict(type=int),
+    "--levels": dict(type=int, default=3),
+    "--tolerance": dict(type=_finite),
+    "--boundary": dict(type=_pair, default=(0.0, 0.0),
+                       help="u(a),u(b) (default 0,0)"),
+    "--out": dict(help="CSV output path"),
+    "--summary": dict(help="JSON summary path (default: stdout)"),
+    "--format": dict(type=_format, default="json", metavar="{csv,json}"),
+}
+
+_PROBLEM = ("--q", "--grid-n", "--interval", "--V", "--V-file", "--f",
+            "--f-file", "--scenario", "--alpha", "--lambda", "--beta", "--gamma")
+
+# command: (handler, the flags it reads, its defaults)
 _COMMANDS = {
-    "bound": _cmd_bound,
-    "solve-integral": _cmd_solve_integral,
-    "solve-bvp": _cmd_solve_bvp,
-    "scenario": _cmd_scenario,
-    "recurrence": _cmd_recurrence,
-    "identity-check": _cmd_identity_check,
+    "bound": (_cmd_bound, (*_PROBLEM, "--format", "--out", "--summary"), {}),
+    "solve-integral": (_cmd_solve_integral,
+                       (*_PROBLEM, "--tolerance", "--kmax", "--out", "--summary"),
+                       {"kmax": 10000}),
+    "solve-bvp": (_cmd_solve_bvp,
+                  (*_PROBLEM, "--tolerance", "--boundary", "--out", "--summary"),
+                  {"tolerance": 1e-8}),
+    "scenario": (_cmd_scenario,
+                 ("--id", "--q", "--grid-n", "--alpha", "--lambda", "--beta",
+                  "--gamma", "--out", "--summary"),
+                 {"alpha": 0.5, "beta": 1.0, "gamma": 1.0}),
+    "recurrence": (_cmd_recurrence, ("--q", "--a", "--kmax", "--summary"),
+                   {"kmax": 200}),
+    "identity-check": (_cmd_identity_check,
+                       ("--q", "--grid-n", "--levels", "--summary"),
+                       {"grid_n": 101}),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="greenbound", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError (exit 3)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; a --config file's keys become the command's defaults.
+
+    Config values are converted and checked like flags, and explicit flags
+    win.  A key that is not a dest of the command's flags is an error.
+    """
+    parser = _Parser(prog="greenbound", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    dests = {}
+    for name, (_, flags, defaults) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--q", type=str, default=None)
-        sp.add_argument("--grid-n", dest="grid_n", type=str, default=None)
-        sp.add_argument("--interval", type=str, default=None,
-                        help="a,b (default 0,1)")
-        sp.add_argument("--tolerance", type=str, default=None)
-        sp.add_argument("--V", type=str, default=None,
-                        help="builtin: constant:<c> | power-distance:<coef>,<beta>")
-        sp.add_argument("--V-file", dest="V_file", type=str, default=None)
-        sp.add_argument("--f", type=str, default=None)
-        sp.add_argument("--f-file", dest="f_file", type=str, default=None)
-        sp.add_argument("--scenario", type=str, default=None)
-        sp.add_argument("--id", type=str, default=None)
-        sp.add_argument("--alpha", type=str, default=None)
-        sp.add_argument("--lambda", dest="lam", type=str, default=None)
-        sp.add_argument("--beta", type=str, default=None)
-        sp.add_argument("--gamma", type=str, default=None)
-        sp.add_argument("--a", type=str, default=None)
-        sp.add_argument("--kmax", type=str, default=None)
-        sp.add_argument("--levels", type=str, default=None)
-        sp.add_argument("--boundary", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None, help="CSV output path")
-        sp.add_argument("--summary", type=str, default=None,
-                        help="JSON summary path (default: stdout)")
-        sp.add_argument("--format", type=str, choices=("csv", "json"),
-                        default="json")
-    return p
+        dests[name] = {sp.add_argument(flag, **_FLAGS.get(flag, {})).dest
+                       for flag in ("--config", *flags)}
+        sp.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    if args.config:
+        cfg = _read_config(args.config)
+        for key in cfg:
+            if key not in dests[args.command]:
+                raise ConfigError(f"unknown config key {key!r} for {args.command}")
+        sub.choices[args.command].set_defaults(**cfg)
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
-        handler = _COMMANDS[args.command]
-    except SystemExit as exc:  # argparse reports its own diagnostics
+        args = _parse_args(argv)
+        return _COMMANDS[args.command][0](args)
+    except SystemExit as exc:  # --help
         return 3 if exc.code not in (0, None) else 0
-    try:
-        return handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, InvalidGridError, InvalidScenarioError) as exc:
+    except (ConfigError, ValueError, OSError, InvalidGridError,
+            InvalidScenarioError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except (SolverFailureError, ResolutionInsufficientError) as exc:

@@ -184,21 +184,33 @@ def quad_trapezoid_split(f: GridFn, split_index: int) -> float:
     return float(left + right)
 
 
-def _fmt(v: float) -> str:
-    if np.isposinf(v):
-        return "inf"
-    if np.isneginf(v):
-        return "-inf"
-    return format(v, ".17g")
+def laplacian_1d(vals: np.ndarray, dx: float) -> np.ndarray:
+    """Central second difference at interior nodes."""
+    return (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / dx ** 2
+
+
+def gradient_1d(vals: np.ndarray, dx: float) -> np.ndarray:
+    """Central first difference at interior nodes."""
+    return (vals[2:] - vals[:-2]) / (2.0 * dx)
+
+
+def write_csv(path_or_file, header, *columns) -> None:
+    """Write a header row, then row i of the columns for every index i.
+
+    Every value is written as format(v, ".17g"): floats round-trip, and
+    infinities and nan read "inf", "-inf" and "nan"; booleans read 1 and 0.
+    """
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="") as fh:
+            return write_csv(fh, header, *columns)
+    writer = csv.writer(path_or_file)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") for v in row] for row in zip(*columns))
 
 
 def write_gridfn_csv(f: GridFn, path) -> None:
     """Write columns x,value; infinities as "inf"/"-inf"."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(f.grid.nodes, f.values):
-            writer.writerow([_fmt(float(x)), _fmt(float(v))])
+    write_csv(path, ["x", "value"], f.grid.nodes, f.values)
 
 
 def read_gridfn_csv(path) -> GridFn:

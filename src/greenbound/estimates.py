@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SCHEMA, Grid, GridFn, write_json
+from .domain import SCHEMA, Grid, GridFn, laplacian_1d, write_csv, write_json
 from .errors import (DegenerateSourceError, DomainError, InvalidHError,
                      InvalidSignError)
 from .fixedpoint import sharp_constants
@@ -118,26 +118,13 @@ class BoundReport:
         }
 
     def to_csv(self, path_or_file) -> None:
-        import csv as _csv
-
-        def write(fh):
-            w = _csv.writer(fh)
-            w.writerow(["x", "h", "GhqV", "bound", "necessary_ok", "sufficient_ok"])
-            hv = self.h.values if self.h is not None else np.full(self.grid.n, np.nan)
-            sv = (self.sufficient_ok if self.sufficient_ok is not None
-                  else np.ones(self.grid.n, bool))
-            for x, h, g, bnd, nec, suf in zip(
-                    self.grid.nodes, hv, self.ghqv.value.values,
-                    self.bound.values, self.necessary_ok, sv):
-                w.writerow([format(x, ".17g"), format(h, ".17g"),
-                            format(g, ".17g"), format(bnd, ".17g"),
-                            int(nec), int(suf)])
-
-        if hasattr(path_or_file, "write"):
-            write(path_or_file)
-        else:
-            with open(path_or_file, "w", newline="") as fh:
-                write(fh)
+        hv = self.h.values if self.h is not None else np.full(self.grid.n, np.nan)
+        sv = (self.sufficient_ok if self.sufficient_ok is not None
+              else np.ones(self.grid.n, bool))
+        write_csv(path_or_file,
+                  ["x", "h", "GhqV", "bound", "necessary_ok", "sufficient_ok"],
+                  self.grid.nodes, hv, self.ghqv.value.values, self.bound.values,
+                  self.necessary_ok, sv)
 
     def to_json(self, path) -> None:
         write_json(self.summary(), path)
@@ -234,7 +221,7 @@ def thm2_bound(problem: Problem, h_given: GridFn,
     if np.any(hv[1:-1] <= 0.0):
         raise InvalidHError("h must be positive at interior nodes")
     dx = grid.spacing
-    lap = (hv[2:] - 2.0 * hv[1:-1] + hv[:-2]) / dx ** 2
+    lap = laplacian_1d(hv, dx)
     tol = 1e-8 * float(np.max(np.abs(lap)) if lap.size else 0.0) \
         + 32.0 * np.finfo(float).eps * float(np.max(np.abs(hv))) / dx ** 2
     if np.any(-lap < -tol):

@@ -38,6 +38,7 @@ __all__ = ["sharp_constants", "scalar_recurrence", "solve_integral_equation",
            "IterationTrace"]
 
 COND_SLACK = 1e-12
+STORE_ITERATES = 256    # iterates a trace keeps; later ones set iterates_truncated
 
 
 def sharp_constants(q: float) -> tuple[float, float]:
@@ -118,8 +119,7 @@ def _inverse_linear_extrapolate(s0: np.ndarray, s1: np.ndarray,
 
 def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
                             tol: float | None = None, k_max: int = 10000,
-                            u0: GridFn | None = None,
-                            store_iterates: int = 256) -> IterationTrace:
+                            u0: GridFn | None = None) -> IterationTrace:
     """Iterate u_{k+1} = h - K(u_k^q V) to the extremal positive solution.
 
     Requires 0 < h < inf at interior nodes, V >= 0 for q < 0 (maximal
@@ -212,7 +212,7 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
             u_next[0], u_next[-1] = hv[0], hv[-1]
 
         u = u_next
-        if len(trace.iterates) < store_iterates:
+        if len(trace.iterates) < STORE_ITERATES:
             trace.iterates.append(GridFn(grid, u))
         else:
             trace.iterates_truncated = True

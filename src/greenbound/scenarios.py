@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from ._oscillate import green_apply_oscillatory
-from .domain import SCHEMA, Grid, GridFn, Interval, sample, write_json
+from .domain import SCHEMA, Grid, GridFn, Interval, sample, write_csv, write_json
 from .errors import (InvalidScenarioError, ResolutionInsufficientError,
                      WindowTooSmallError)
 from .estimates import Problem, thm1_bound, unified_bound
@@ -48,6 +48,11 @@ __all__ = [
     "ex4_functions",
 ]
 
+
+FIT_WINDOW = (1e-3, 1e-2)   # boundary-distance window, in units of the length
+FIT_MIN_NODES = 8
+BOUNDED_SLOPE = 0.1         # |fitted slope| below this classifies as bounded
+EX1_HEAD_BUDGET = 5e-11     # oscillatory head budget of the alpha < 1 check
 
 SCENARIO_INTERVALS = {
     "ex1": Interval(0.0, 1.0),
@@ -221,10 +226,8 @@ class AsymptoticFit:
     n_nodes: int = 0
 
 
-def fit_boundary_rate(g: GridFn, reference: GridFn,
-                      window: tuple | None = None, *, min_nodes: int = 8,
-                      bounded_slope: float = 0.1) -> AsymptoticFit:
-    """Fit the boundary behavior of g/reference over a distance window.
+def fit_boundary_rate(g: GridFn, reference: GridFn) -> AsymptoticFit:
+    """Fit the boundary behavior of g/reference over the FIT_WINDOW distances.
 
     The three candidate models for y = log(g/ref) against d are a power law
     (y affine in log d), a logarithmic profile (g/ref proportional to
@@ -236,17 +239,16 @@ def fit_boundary_rate(g: GridFn, reference: GridFn,
         raise WindowTooSmallError("g and reference must share a grid")
     grid = g.grid
     L = grid.interval.length
-    if window is None:
-        window = (1e-3 * L, 1e-2 * L)
+    window = (FIT_WINDOW[0] * L, FIT_WINDOW[1] * L)
     d = grid.boundary_distance()
     gv, rv = g.values, reference.values
     sel = ((d >= window[0]) & (d <= window[1])
            & np.isfinite(gv) & np.isfinite(rv) & (gv > 0) & (rv > 0))
     sel[0] = sel[-1] = False
     m = int(np.count_nonzero(sel))
-    if m < min_nodes:
+    if m < FIT_MIN_NODES:
         raise WindowTooSmallError(
-            f"only {m} usable nodes in window {window}; need >= {min_nodes}")
+            f"only {m} usable nodes in window {window}; need >= {FIT_MIN_NODES}")
     y = np.log(gv[sel] / rv[sel])
     t = np.log(d[sel])
 
@@ -269,11 +271,11 @@ def fit_boundary_rate(g: GridFn, reference: GridFn,
 
     rss_bounded = float(np.sum((y - y.mean()) ** 2))
 
-    if abs(slope) < bounded_slope:
+    if abs(slope) < BOUNDED_SLOPE:
         model = "bounded"
     else:
         model = "power" if rss_power <= rss_log else "power_log"
-    return AsymptoticFit(tuple(window), slope, ci, model,
+    return AsymptoticFit(window, slope, ci, model,
                          {"power": rss_power, "power_log": rss_log,
                           "bounded": rss_bounded}, m)
 
@@ -303,17 +305,10 @@ class Ex1CancellationReport:
     periods: int | None = None
 
     def curves_to_csv(self, path) -> None:
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            if self.curve_x is not None:
-                w.writerow(["x", "GhV_over_h"])
-                rows = zip(self.curve_x, self.curve_ratio)
-            else:
-                w.writerow(["x", "GhV_improper"])
-                rows = zip(self.probes, self.improper_values)
-            for x, v in rows:
-                w.writerow([format(float(x), ".17g"), format(float(v), ".17g")])
+        if self.curve_x is not None:
+            write_csv(path, ["x", "GhV_over_h"], self.curve_x, self.curve_ratio)
+        else:
+            write_csv(path, ["x", "GhV_improper"], self.probes, self.improper_values)
 
     def summary(self) -> dict:
         out = {
@@ -358,7 +353,6 @@ def _positivity_scan() -> np.ndarray:
 
 
 def verify_cancellation_ex1(alpha: float, grid: Grid, *,
-                            head_budget: float = 5e-11,
                             max_periods: int = 400_000,
                             probes: np.ndarray | None = None,
                             levels: tuple = (12, 20)) -> Ex1CancellationReport:
@@ -396,7 +390,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
         fine = Grid(grid.interval, 2 * grid.n - 1)
         xs2 = fine.nodes[1:-1]
         res = green_apply_oscillatory(fns["hV"], alpha, xs2,
-                                      head_budget=head_budget,
+                                      head_budget=EX1_HEAD_BUDGET,
                                       max_periods=max_periods)
         ratio2 = res.values / _h01(xs2)
         report.sup_ratio_refined = float(np.max(np.abs(ratio2[xs2 <= 0.5])))
@@ -477,16 +471,9 @@ class Ex4SharpnessReport:
     exact: GridFn | None = None
 
     def curves_to_csv(self, path) -> None:
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["x", "bound", "exact"])
-            if self.bound is None:
-                return
-            for x, b, u in zip(self.bound.grid.nodes, self.bound.values,
-                               self.exact.values):
-                w.writerow([format(float(x), ".17g"), format(float(b), ".17g"),
-                            format(float(u), ".17g")])
+        columns = () if self.bound is None else (
+            self.bound.grid.nodes, self.bound.values, self.exact.values)
+        write_csv(path, ["x", "bound", "exact"], *columns)
 
     def summary(self) -> dict:
         return {
@@ -544,7 +531,7 @@ def sharpness_report_ex4(lam: float, gamma: float, q: float,
 
     d = grid.boundary_distance()
     L = grid.interval.length
-    window = (d >= 1e-3 * L) & (d <= 1e-2 * L) & inner
+    window = (d >= FIT_WINDOW[0] * L) & (d <= FIT_WINDOW[1] * L) & inner
     out.window_ratio_min = float(np.nanmin(ratio[window]))
     exp_match = abs(fit_b.slope - fit_u.slope) <= 0.05
     out.classification = ("sharp" if exp_match and out.window_ratio_min >= 0.05

@@ -64,14 +64,39 @@ def test_malformed_config_exit_code(capsys):
     assert "config error" in err
 
 
-@pytest.mark.parametrize("argv", [("--V", "constant:nan"), ("--V", "constant:inf"),
-                                  ("--V", "constant:1", "--f", "constant:nan"),
-                                  ("--V", "power-distance:nan,0.5"),
-                                  ("--V", "power-distance:1,inf")])
-def test_non_finite_builtin_is_config_error(capsys, argv):
-    code, _, err = run(capsys, "bound", "--q", "2", "--grid-n", "101", *argv)
+_BOUND = ("bound", "--q", "2", "--grid-n", "101")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_BOUND, "--V", "constant:nan"), (*_BOUND, "--V", "constant:inf"),
+    (*_BOUND, "--V", "constant:1", "--f", "constant:nan"),
+    (*_BOUND, "--V", "power-distance:nan,0.5"),
+    (*_BOUND, "--V", "power-distance:1,inf"),
+    # non-finite numeric flags and config values
+    ("bound", "--q", "nan", "--grid-n", "101", "--V", "constant:-1"),
+    ("bound", "--q", "inf", "--grid-n", "101", "--V", "constant:-1"),
+    ("recurrence", "--q", "-1", "--a", "nan"),
+    ("solve-integral", "--q", "-1", "--grid-n", "101", "--V", "constant:0.001",
+     "--tolerance", "nan"),
+    ("recurrence", "--config", "nan.cfg"),
+    # flags the command does not read
+    (*_BOUND, "--V", "constant:-1", "--kmax", "5"),
+    ("recurrence", "--q", "-1", "--a", "0.2", "--grid-n", "7"),
+    # q = 0 is not replaced by the scenario's default q
+    ("scenario", "--id", "ex4", "--q", "0"),
+])
+def test_non_finite_builtin_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.cfg").write_text("q=-1\na=nan\n")
+    code, _, err = run(capsys, *argv)
     assert code == 3
     assert "config error" in err
+
+
+def test_recurrence_kmax_zero_is_not_the_default(capsys):
+    code, out, _ = run(capsys, "recurrence", "--q", "-1", "--a", "0.2", "--kmax", "0")
+    assert code == 0
+    assert json.loads(out)["b_sequence"] == [1.0]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -199,3 +224,29 @@ def test_readme_examples_exit_zero(tmp_path, monkeypatch, capsys):
             "files": {p.name: _sha256(p.read_bytes()) for p in sorted(tmp_path.iterdir())
                       if before.get(p.name) != p.read_bytes()}}
     assert got == golden
+
+
+def test_benchmark_cli_argv_shapes(tmp_path, capsys):
+    """The argv shapes of perfbench's op_cli_bound, op_cli_ex4 and op_cli_ex2.
+
+    A flag these commands stopped accepting would turn every cli_* op of the
+    bounds_sweep workload into an unexpected failure.  n = 2001, as there:
+    the scenario fit windows hold too few nodes at n = 201.
+    """
+    n = 2001
+    vfile = tmp_path / "v.csv"
+    write_gridfn_csv(sample(lambda x: -1.0 - x, make_grid(Interval(0.0, 1.0), n)),
+                     vfile)
+    out, summary = tmp_path / "out.csv", tmp_path / "summary.json"
+    for argv in [
+            ("bound", "--q", repr(2.0), "--interval", "0,1", "--grid-n", n,
+             "--V-file", vfile, "--f", "constant:1", "--out", out,
+             "--summary", summary),
+            ("scenario", "--id", "ex4", "--q", repr(-1.0), "--lambda", repr(1.0),
+             "--gamma", repr(1.0), "--grid-n", n, "--summary", summary,
+             "--out", out),
+            ("scenario", "--id", "ex2", "--q", repr(-0.5), "--lambda", repr(1.0),
+             "--beta", repr(1.0), "--grid-n", n, "--summary", summary,
+             "--out", out)]:
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == 0, (argv, err)
