@@ -13,9 +13,9 @@ moments are accumulated, M0 = ∫ w and M1 = ∫ y·w; every interval is read
 off them as A = ΔM1 - a·ΔM0 and B = b·ΔM0 - ΔM1.  That makes nested
 exhaustion levels (a_m, b_m) cost one pass: the panels of the deepest
 level include every level's edges, and each level subtracts its own
-moments.  The panel sums come from the Gauss panel-moment helper of
-:mod:`greenbound.green`, which evaluates w in fixed-size chunks, so peak
-memory does not grow with the number of resolved periods.
+moments.  The read-off is :mod:`greenbound.green`'s, shared with its
+improper potentials; it evaluates w in fixed-size chunks, so peak memory
+does not grow with the number of resolved periods.
 
 Below the deepest resolved zero the remaining head of A is an alternating
 series whose period magnitudes are verified to decrease with depth, so
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionInsufficientError
-from .green import _GAUSS_W as _GW, _GAUSS_X as _GX, _panel_moments
+from .green import _GAUSS_W as _GW, _GAUSS_X as _GX, _two_moment_levels
 
 __all__ = ["OscillatoryResult", "green_apply_oscillatory"]
 
@@ -105,20 +105,6 @@ def _resolved_range(w_fn, alpha, a, b, y_floor, head_budget, max_periods):
     return k_min, k_max, (not capped) and y_floor <= a
 
 
-def _running_moments(w_fn, breaks):
-    """Running sums M0 = ∫w and M1 = ∫y·w over the panels between breaks."""
-
-    def checked(y):
-        fv = np.asarray(w_fn(y), dtype=float)
-        if not np.all(np.isfinite(fv)):
-            raise ResolutionInsufficientError("w evaluated non-finite inside (a,b)")
-        return fv
-
-    m0, m1 = _panel_moments(checked, breaks[:-1], breaks[1:])
-    return (np.concatenate([[0.0], np.cumsum(m0)]),
-            np.concatenate([[0.0], np.cumsum(m1)]))
-
-
 def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
                             head_budget: float = 1e-11,
                             max_periods: int = 1_500_000,
@@ -180,14 +166,14 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     for j in range(1, SUBPANELS_PER_PERIOD):
         extra.append(breaks[small] + widths[small] * j / SUBPANELS_PER_PERIOD)
     breaks = np.unique(np.concatenate([breaks] + extra))
-    M0, M1 = _running_moments(w_fn, breaks)
 
-    ix = np.searchsorted(breaks, xs)
-    i_lo = np.searchsorted(breaks, y_bot)[:, None]
-    i_hi = np.searchsorted(breaks, b_lv)[:, None]
-    al, bl = a_lv[:, None], b_lv[:, None]
-    A = (M1[ix] - M1[i_lo]) - al * (M0[ix] - M0[i_lo])
-    B = bl * (M0[i_hi] - M0[ix]) - (M1[i_hi] - M1[ix])
+    def checked(y):
+        fv = np.asarray(w_fn(y), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            raise ResolutionInsufficientError("w evaluated non-finite inside (a,b)")
+        return fv
+
+    vals, A, B, M0, M1 = _two_moment_levels(checked, breaks, xs, y_bot, a_lv, b_lv)
 
     head = np.zeros(a_lv.size)
     alternating_ok = True
@@ -204,11 +190,8 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
         else:
             head[lv] = 1.5 * _period_probe(w_fn, alpha, float(a_lv[lv]), k_max)
 
-    vals = ((bl - xs) * A + (xs - al) * B) / (bl - al)
-    eps = head[:, None] * (bl - xs) / (bl - al)
-    outside = (xs <= y_bot[:, None]) | (xs >= bl)
-    for arr in (vals, eps, A, B):
-        arr[outside] = np.nan
+    al, bl = a_lv[:, None], b_lv[:, None]
+    eps = np.where(np.isnan(vals), np.nan, head[:, None] * (bl - xs) / (bl - al))
     periods = max(0, max(counts) - 1)
     if single:
         return OscillatoryResult(vals[0], float(head[0]), eps[0], y_bottom,

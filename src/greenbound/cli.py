@@ -10,10 +10,11 @@ recurrence      scalar comparison sequence b_{k+1} = 1 - a b_k^q
 identity-check  product-rule identity discrepancy across grid levels
 
 Exit codes: 0 success, 1 precondition/condition failure, 2 numerical
-non-convergence, 3 malformed configuration.
+non-convergence or insufficient resolution, 3 malformed configuration.
 
-Each command accepts only the flags it reads (see ``<command> --help``);
-any other flag, a non-finite number or a malformed value exits 3.  A flat
+Each command accepts only the flags it reads (see ``<command> --help``),
+spelled in full; any other flag or prefix, a non-finite number or a
+malformed value exits 3.  A flat
 key=value file passed with --config sets the command's defaults: keys are
 flag dests (grid_n, V_file, f_file, lam, ...), values are checked like
 flags, and explicit flags win.
@@ -40,7 +41,7 @@ from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
                      InvalidHError, InvalidScenarioError, InvalidSignError,
                      NotIntegrableError, NotOrderedError,
                      PreconditionFailedError, ResolutionInsufficientError,
-                     SolverFailureError, WindowTooSmallError)
+                     SolverFailureError)
 from .estimates import Problem, thm1_bound, thm4_conditions
 from .fixedpoint import scalar_recurrence, solve_integral_equation
 from .green import Kernel, potential
@@ -52,8 +53,7 @@ from .scenarios import (SCENARIO_INTERVALS, ScenarioSpec, _distance_power,
 
 _PRECONDITION_ERRORS = (PreconditionFailedError, DegenerateSourceError,
                         InvalidSignError, InvalidHError, NotOrderedError,
-                        NotIntegrableError, DivergingBracketError,
-                        WindowTooSmallError, DomainError)
+                        NotIntegrableError, DivergingBracketError, DomainError)
 
 
 def _read_config(path) -> dict:
@@ -340,12 +340,12 @@ def _parse_args(argv) -> argparse.Namespace:
     Config values are converted and checked like flags, and explicit flags
     win.  A key that is not a dest of the command's flags is an error.
     """
-    parser = _Parser(prog="greenbound", description=__doc__,
+    parser = _Parser(prog="greenbound", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     dests = {}
     for name, (_, flags, defaults) in _COMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         dests[name] = {sp.add_argument(flag, **_FLAGS.get(flag, {})).dest
                        for flag in ("--config", *flags)}
         sp.set_defaults(**defaults)

@@ -60,12 +60,15 @@ class NotOrderedError(GreenboundError):
     """Sub/supersolution pair is not ordered."""
 
 
-class WindowTooSmallError(GreenboundError):
-    """Fewer than the minimum number of fit nodes in the window."""
-
-
 class ResolutionInsufficientError(GreenboundError):
-    """Oscillatory quadrature could not certify the requested accuracy."""
+    """Resolution too coarse for the result; a finer one may succeed.
+
+    Raised when oscillatory quadrature cannot certify its accuracy and when
+    a fit window holds too few grid nodes."""
+
+
+class WindowTooSmallError(ResolutionInsufficientError):
+    """Fewer than the minimum number of fit nodes in the window."""
 
 
 class ConfigError(GreenboundError):

@@ -30,6 +30,11 @@ the trapezoid rule (the kernel is linear in y on each panel, so only two
 scalar moments per panel are needed, as masses at its end nodes).
 Value-only sources fall back to a power-law extrapolation through the two
 innermost interior nodes on the first panel alone.
+
+Improper potentials take the proper value wherever it is well defined
+(G^{Ω_m} increases to G); every level of the exhaustion Ω_m is read off two
+running moments ∫f and ∫y·f (:func:`_two_moment_levels`), as in the
+oscillatory quadrature of :mod:`greenbound._oscillate`.
 """
 
 from __future__ import annotations
@@ -280,6 +285,32 @@ def _panel_moments(fn, lo: np.ndarray, hi: np.ndarray, origin=0.0):
     return m0, m1
 
 
+def _two_moment_levels(fn, breaks, xs, lo, a, b):
+    """G^{(a_m,b_m)} f at the points xs for every level m, from one pass.
+
+    The running moments M0 = ∫f and M1 = ∫y·f are summed once over the Gauss
+    panels between ``breaks``, which must hold every xs inside a level and
+    every ``lo`` and ``b``.  Each level subtracts its own moments:
+    A = ΔM1 - a·ΔM0 from ``lo`` (>= a) up to x, B = b·ΔM0 - ΔM1 from x up to
+    b, and G f = [(b-x) A + (x-a) B]/(b-a).  Rows are levels; a point
+    outside (lo_m, b_m) reads NaN.  Returns (values, A, B, M0, M1).
+    """
+    m0, m1 = _panel_moments(fn, breaks[:-1], breaks[1:])
+    M0 = np.concatenate([[0.0], np.cumsum(m0)])
+    M1 = np.concatenate([[0.0], np.cumsum(m1)])
+    ix = np.minimum(np.searchsorted(breaks, xs), breaks.size - 1)
+    i_lo = np.searchsorted(breaks, lo)[:, None]
+    i_hi = np.searchsorted(breaks, b)[:, None]
+    al, bl = a[:, None], b[:, None]
+    A = (M1[ix] - M1[i_lo]) - al * (M0[ix] - M0[i_lo])
+    B = bl * (M0[i_hi] - M0[ix]) - (M1[i_hi] - M1[ix])
+    vals = ((bl - xs) * A + (xs - al) * B) / (bl - al)
+    outside = ~((xs > lo[:, None]) & (xs < bl))
+    for arr in (vals, A, B):
+        arr[outside] = np.nan
+    return vals, A, B, M0, M1
+
+
 def _integrate_part(kernel: Kernel, grid: Grid,
                     pvals: np.ndarray, pfn, left_bad: bool, right_bad: bool):
     """Potential of one nonnegative part with singular boundary panels.
@@ -399,88 +430,60 @@ def power_product(h: GridFn, q: float, V: GridFn,
 
 @dataclass(frozen=True)
 class ImproperPotential:
-    """Exhaustion sequence I_m = ∫_{Ω_m} G^{Ω_m}(x,·) f over nested Ω_m."""
+    """Improper potential ``value`` and its exhaustion sequence.
+
+    sequence[m-1] = ∫_{Ω_m} G^{Ω_m}(x,·) f over nested Ω_m, NaN outside Ω_m."""
 
     value: GridFn
     sequence: list
     deltas: list
 
 
-def _resample(f: GridFn, subgrid: Grid) -> GridFn:
-    if f.fn is not None:
-        vfn = _vectorized(f.fn)
-        return GridFn(subgrid, vfn(subgrid.nodes), fn=f.fn)
-    fin = np.isfinite(f.values)
-    return GridFn(subgrid, np.interp(subgrid.nodes, f.grid.nodes[fin], f.values[fin]))
-
-
-def _potential_at_points(f: GridFn, xs: np.ndarray) -> np.ndarray:
-    """Closed-form potential of a finite GridFn at interior points, kink-exact.
-
-    A(x) = ∫_a^x (y-a) f and B(x) = ∫_x^b (b-y) f are read off cumulative
-    trapezoid moments, with the panel containing x split at x so the kernel
-    kink stays on a breakpoint.
-    """
-    grid = f.grid
-    nodes = grid.nodes
-    dx = grid.spacing
-    vals = f.values
-    if not np.all(np.isfinite(vals)):
-        raise NotIntegrableError("pointwise potential needs finite values")
-    a, b = grid.interval.left, grid.interval.right
-    p = (nodes - a) * vals
-    r = (b - nodes) * vals
-    cum_p = np.concatenate(([0.0], np.cumsum(0.5 * dx * (p[:-1] + p[1:]))))
-    cum_r = np.concatenate(([0.0], np.cumsum(0.5 * dx * (r[:0:-1] + r[-2::-1]))))[::-1]
-    idx = np.clip(((xs - a) / dx).astype(int), 0, grid.n - 2)
-    yl, yr = nodes[idx], nodes[idx + 1]
-    fx = _vectorized(f.fn)(xs) if f.fn is not None else np.interp(xs, nodes, vals)
-    A = cum_p[idx] + 0.5 * (xs - yl) * (p[idx] + (xs - a) * fx)
-    B = cum_r[idx + 1] + 0.5 * (yr - xs) * ((b - xs) * fx + r[idx + 1])
-    return ((b - xs) * A + (xs - a) * B) / (b - a)
-
-
-def _exhaustion(kernel: Kernel, f: GridFn, xs: np.ndarray, levels: int):
+def _exhaustion(f: GridFn, xs: np.ndarray, levels: int):
     """Potentials over Ω_m = (a+δ_m, b-δ_m), δ_m = (b-a)/2^{m+2}, at points xs.
 
-    Row m-1 holds level m; points outside Ω_m read NaN.  Each level uses
-    the closed-form kernel of its own subinterval on a fresh uniform
-    subgrid with the same node count, resampling f through its expression
-    when attached (linear interpolation otherwise).
+    Row m-1 holds level m; points outside Ω_m read NaN.  Every level comes
+    from one pass of two running moments (:func:`_two_moment_levels`) over
+    Gauss panels whose breakpoints are the dyadic level edges, the points
+    xs and the grid nodes inside the deepest level, so the panels grade
+    toward each end.  f is its expression when attached, else the linear
+    interpolant of its finite node values.
     """
     grid = f.grid
     a, b = grid.interval.left, grid.interval.right
     deltas = [(b - a) / 2.0 ** (m + 2) for m in range(1, levels + 1)]
-    seq = np.full((len(deltas), xs.size), np.nan)
-    for row, delta in zip(seq, deltas):
-        sub = Interval(a + delta, b - delta)
-        inside = (xs > sub.left) & (xs < sub.right)
-        if inside.any():
-            row[inside] = _potential_at_points(_resample(f, Grid(sub, grid.n)),
-                                               xs[inside])
-    return seq, deltas
+    lo = a + np.array(deltas)
+    hi = b - np.array(deltas)
+    nodes = grid.nodes
+    fin = np.isfinite(f.values)
+    fn = (_vectorized(f.fn) if f.fn is not None
+          else lambda y: np.interp(y, nodes[fin], f.values[fin]))
+    inner = [p[(p > lo[-1]) & (p < hi[-1])] for p in (nodes, xs)]
+    breaks = np.unique(np.concatenate([lo, hi] + inner))
+    return _two_moment_levels(fn, breaks, xs, lo, lo, hi)[0], deltas
 
 
 def potential_improper(kernel: Kernel, f: GridFn, levels: int = 20) -> ImproperPotential:
     """Improper potential via the exhaustion Ω_m = (a+δ_m, b-δ_m).
 
-    The value is the deepest level (see :func:`_exhaustion`); the full
-    sequence is kept for liminf diagnostics.  Boundary nodes, which lie
-    outside every Ω_m, are pinned to the Dirichlet limit 0.
+    G^{Ω_m} increases to G, so wherever :func:`potential` is well defined
+    the improper limit is its value (monotone convergence on each
+    nonnegative part); only at nodes where both parts are +inf is the value
+    the deepest level.  The full sequence (see :func:`_exhaustion`) is kept
+    for liminf diagnostics.
     """
     if levels < 2:
         raise DomainError("need at least 2 exhaustion levels")
-    kernel._check_grid(f.grid)
-    seq, deltas = _exhaustion(kernel, f, f.grid.nodes, levels)
-    final = seq[-1].copy()      # the widest Ω_m contains every other one
-    final[0] = final[-1] = 0.0
-    return ImproperPotential(GridFn(f.grid, final), list(seq), deltas)
+    proper = potential(kernel, f)
+    seq, deltas = _exhaustion(f, f.grid.nodes, levels)
+    value = np.where(proper.well_defined, proper.value.values, seq[-1])
+    return ImproperPotential(GridFn(f.grid, value), list(seq), deltas)
 
 
 def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
                           levels: int = 20) -> list[float]:
     """Exhaustion sequence of the improper potential at a single point."""
-    seq, _ = _exhaustion(kernel, f, np.array([float(x)]), levels)
+    seq, _ = _exhaustion(f, np.array([float(x)]), levels)
     out = [float(v) for v in seq[:, 0] if not np.isnan(v)]
     if not out:
         raise DomainError(f"x={x} outside every exhaustion subdomain")

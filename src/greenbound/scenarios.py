@@ -30,8 +30,8 @@ import numpy as np
 
 from ._oscillate import green_apply_oscillatory
 from .domain import SCHEMA, Grid, GridFn, Interval, sample, write_csv, write_json
-from .errors import (InvalidScenarioError, ResolutionInsufficientError,
-                     WindowTooSmallError)
+from .errors import (InvalidGridError, InvalidScenarioError,
+                     ResolutionInsufficientError, WindowTooSmallError)
 from .estimates import Problem, thm1_bound, unified_bound
 from .green import Kernel
 
@@ -236,7 +236,7 @@ def fit_boundary_rate(g: GridFn, reference: GridFn) -> AsymptoticFit:
     smaller-residual model of the other two.
     """
     if g.grid != reference.grid:
-        raise WindowTooSmallError("g and reference must share a grid")
+        raise InvalidGridError("g and reference must share a grid")
     grid = g.grid
     L = grid.interval.length
     window = (FIT_WINDOW[0] * L, FIT_WINDOW[1] * L)

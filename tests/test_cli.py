@@ -84,6 +84,10 @@ _BOUND = ("bound", "--q", "2", "--grid-n", "101")
     ("recurrence", "--q", "-1", "--a", "0.2", "--grid-n", "7"),
     # q = 0 is not replaced by the scenario's default q
     ("scenario", "--id", "ex4", "--q", "0"),
+    # prefixes of flags are not accepted
+    ("solve-bvp", "--q", "2", "--V", "constant:-1", "--f", "constant:1",
+     "--tol", "1e-9"),
+    ("scenario", "--id", "ex4", "--s", "x.json"),
 ])
 def test_non_finite_builtin_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -91,6 +95,14 @@ def test_non_finite_builtin_is_config_error(tmp_path, monkeypatch, capsys, argv)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "config error" in err
+
+
+@pytest.mark.parametrize("scenario_id,n", [("ex4", 201), ("ex2", 401)])
+def test_fit_window_too_coarse_is_a_resolution_failure(capsys, scenario_id, n):
+    # the boundary-rate fit window holds fewer than 8 nodes at this n
+    code, _, err = run(capsys, "scenario", "--id", scenario_id, "--grid-n", str(n))
+    assert code == 2
+    assert "usable nodes in window" in err
 
 
 def test_recurrence_kmax_zero_is_not_the_default(capsys):
