@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (SCHEMA, GridFn, gradient_1d, laplacian_1d, write_gridfn_csv,
-                     write_json)
+from .domain import GridFn, gradient_1d, laplacian_1d, write_gridfn_csv
 from .errors import (DomainError, InfeasibleStartError, NotOrderedError,
                      SolverFailureError)
 from .estimates import Problem
@@ -45,17 +44,6 @@ class NewtonReport:
     converged: bool
     residual_history: list = field(default_factory=list)
     residual_floor: float = 0.0
-
-    def to_json(self, path) -> None:
-        write_json({
-            "schema": SCHEMA,
-            "converged": self.converged,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "damping_events": self.damping_events,
-            "residual_history": [float(r) for r in self.residual_history],
-            "residual_floor": self.residual_floor,
-        }, path)
 
     def to_csv(self, path) -> None:
         write_gridfn_csv(self.solution, path)

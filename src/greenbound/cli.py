@@ -11,6 +11,9 @@ identity-check  product-rule identity discrepancy across grid levels
 
 Exit codes: 0 success, 1 precondition/condition failure, 2 numerical
 non-convergence or insufficient resolution, 3 malformed configuration.
+Each error class in greenbound.errors carries its code as ``exit_code``; a
+ValueError or OSError exits 3.  ``bound`` adds Theorem 4's sufficiency
+flags wherever its monotone regime (greenbound.fixedpoint) holds.
 
 Each command accepts only the flags it reads (see ``<command> --help``),
 spelled in full; any other flag or prefix, a non-finite number or a
@@ -36,12 +39,7 @@ import numpy as np
 from .bvp import fd_solve, lemma41_identity_check
 from .domain import (SCHEMA, GridFn, Interval, make_grid, read_gridfn_csv, sample,
                      write_gridfn_csv, write_json)
-from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
-                     DomainError, GreenboundError, InvalidGridError,
-                     InvalidHError, InvalidScenarioError, InvalidSignError,
-                     NotIntegrableError, NotOrderedError,
-                     PreconditionFailedError, ResolutionInsufficientError,
-                     SolverFailureError)
+from .errors import ConfigError, DomainError, GreenboundError, InvalidSignError
 from .estimates import Problem, thm1_bound, thm4_conditions
 from .fixedpoint import scalar_recurrence, solve_integral_equation
 from .green import Kernel, potential
@@ -51,9 +49,8 @@ from .scenarios import (SCENARIO_INTERVALS, ScenarioSpec, _distance_power,
                         verify_cancellation_ex1)
 
 
-_PRECONDITION_ERRORS = (PreconditionFailedError, DegenerateSourceError,
-                        InvalidSignError, InvalidHError, NotOrderedError,
-                        NotIntegrableError, DivergingBracketError, DomainError)
+# stderr prefix per exit code; each error class carries its exit code
+_FAILURE_KIND = {1: "condition failure", 2: "numerical failure", 3: "config error"}
 
 
 def _read_config(path) -> dict:
@@ -138,13 +135,11 @@ def _problem_from_args(args) -> tuple[Problem, GridFn | None]:
 
 def _cmd_bound(args) -> int:
     problem, _ = _problem_from_args(args)
-    report = thm1_bound(problem)
-    q = problem.q
     try:
-        if (q > 1.0 or q < 0.0):
-            report = thm4_conditions(problem)
-    except InvalidSignError:
-        pass  # mixed-sign V: thm1 report stands, no sufficiency flags
+        report = thm4_conditions(problem)
+    except (InvalidSignError, DomainError):
+        # outside Theorem 4's monotone regime: no sufficiency flags
+        report = thm1_bound(problem)
     if args.out:
         report.to_csv(args.out)
     summary = report.summary()
@@ -366,22 +361,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # --help
         return 3 if exc.code not in (0, None) else 0
-    except (ConfigError, ValueError, OSError, InvalidGridError,
-            InvalidScenarioError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (SolverFailureError, ResolutionInsufficientError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except _PRECONDITION_ERRORS as exc:
-        extra = ""
-        if isinstance(exc, PreconditionFailedError) and exc.nodes:
-            extra = f" (nodes {exc.nodes[:10]})"
-        print(f"condition failure: {exc}{extra}", file=sys.stderr)
-        return 1
-    except GreenboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (GreenboundError, ValueError, OSError) as exc:
+        code = getattr(exc, "exit_code", 3)
+        nodes = getattr(exc, "nodes", None)
+        extra = f" (nodes {nodes[:10]})" if nodes else ""
+        print(f"{_FAILURE_KIND[code]}: {exc}{extra}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

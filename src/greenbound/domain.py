@@ -93,10 +93,6 @@ class Grid:
         x.setflags(write=False)
         return x
 
-    @cached_property
-    def interior(self) -> np.ndarray:
-        return self.nodes[1:-1]
-
     def boundary_distance(self) -> np.ndarray:
         """d(x) = dist(x, boundary) at the nodes."""
         x = self.nodes
@@ -114,9 +110,10 @@ class GridFn:
 
     ``fn`` optionally records the pointwise expression the values were
     sampled from; quadrature uses it to evaluate between nodes when a
-    boundary panel needs refinement.  ``nan`` entries are rejected except
-    where a caller explicitly marks an endpoint limit as unknown (see
-    ``green.power_product``), which encodes them as signed infinities.
+    boundary panel needs refinement.  Quadrature rejects ``nan`` entries at
+    interior nodes, and at an endpoint unless ``fn`` is attached, in which
+    case that boundary panel is probed through ``fn`` (``green.power_product``
+    instead encodes an unknown endpoint limit as a signed infinity).
     """
 
     grid: Grid
@@ -132,10 +129,6 @@ class GridFn:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
     def __call__(self, x: float) -> float:
         """Evaluate off-node via ``fn`` when present, else linear interpolation."""

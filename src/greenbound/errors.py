@@ -1,12 +1,22 @@
-"""Exception hierarchy shared by all greenbound modules."""
+"""Exception hierarchy shared by all greenbound modules.
+
+Each class carries the CLI exit code of its kind of failure in
+``exit_code``: 1 a precondition or pointwise condition fails (the default),
+2 numerical non-convergence or a resolution too coarse for the result, 3
+malformed configuration or input.  Subclasses inherit their parent's code.
+"""
 
 
 class GreenboundError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class InvalidGridError(GreenboundError):
     """Grid construction violated a precondition (e.g. n < 3)."""
+
+    exit_code = 3
 
 
 class NotIntegrableError(GreenboundError):
@@ -32,6 +42,8 @@ class InvalidSignError(GreenboundError):
 class InvalidScenarioError(GreenboundError):
     """Scenario parameters outside their admissible range."""
 
+    exit_code = 3
+
 
 class DivergingBracketError(GreenboundError):
     """Scalar recurrence has no fixed point in (0,1): a > a*."""
@@ -51,6 +63,8 @@ class PreconditionFailedError(GreenboundError):
 class SolverFailureError(GreenboundError):
     """Newton linear algebra failed beyond rescue."""
 
+    exit_code = 2
+
 
 class InfeasibleStartError(GreenboundError):
     """Positivity of iterates could not be restored by damping."""
@@ -66,6 +80,8 @@ class ResolutionInsufficientError(GreenboundError):
     Raised when oscillatory quadrature cannot certify its accuracy and when
     a fit window holds too few grid nodes."""
 
+    exit_code = 2
+
 
 class WindowTooSmallError(ResolutionInsufficientError):
     """Fewer than the minimum number of fit nodes in the window."""
@@ -73,3 +89,5 @@ class WindowTooSmallError(ResolutionInsufficientError):
 
 class ConfigError(GreenboundError):
     """Malformed CLI configuration."""
+
+    exit_code = 3

@@ -24,7 +24,9 @@ by continuity instead of evaluating the 0/0 ratio there.
 
 Sufficiency (existence with two-sided envelopes) is the sharp-constant test
 of :func:`thm4_conditions`: -G(w) <= (1-1/q)^q h/(q-1) for q > 1 and V <= 0,
-G(w) <= (1-1/q)^q h/(1-q) for q < 0 and V >= 0.
+G(w) <= (1-1/q)^q h/(1-q) for q < 0 and V >= 0.  That regime and that test
+are the precondition of the constructive scheme of
+:mod:`greenbound.fixedpoint`, which owns both.
 """
 
 from __future__ import annotations
@@ -34,31 +36,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SCHEMA, Grid, GridFn, laplacian_1d, write_csv, write_json
-from .errors import (DegenerateSourceError, DomainError, InvalidHError,
-                     InvalidSignError)
-from .fixedpoint import sharp_constants
+from .errors import DegenerateSourceError, DomainError, InvalidHError
+from .fixedpoint import COND_SLACK, _monotone_regime, _sharp_condition
 from .green import Kernel, PotentialResult, potential, power_product
 from .phi import PhiFamily, _phi_of_bracket, phi_eval
 
 __all__ = ["Problem", "BoundReport", "thm1_bound", "thm2_bound", "thm3_bound",
            "thm4_conditions", "unified_bound"]
 
-STRICT_SLACK = 1e-12
+U_THRESHOLD = 1e-12     # {u > 0} is {u > U_THRESHOLD · max u} when 0 < q < 1
 
 
 @dataclass(frozen=True)
 class Problem:
-    """Coefficients of -u'' + V u^q = f on a kernel's interval.
-
-    ``u_threshold`` discretizes the positivity set {u > 0} used when
-    0 < q < 1; ``None`` means 1e-12 · max(u), resolved at use.
-    """
+    """Coefficients of -u'' + V u^q = f on a kernel's interval."""
 
     q: float
     V: GridFn
     f: GridFn
     kernel: Kernel
-    u_threshold: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.q) or self.q == 0.0:
@@ -156,24 +152,22 @@ def _solve_h(problem: Problem) -> GridFn:
     return h
 
 
-def _chi(u: GridFn | None, threshold: float | None, what: str) -> np.ndarray:
+def _chi(u: GridFn | None, what: str) -> np.ndarray:
     if u is None:
         raise DomainError(f"0 < q < 1 needs u to restrict {what} to {{u > 0}}")
     uv = u.values
-    thr = 1e-12 * float(np.max(uv)) if threshold is None else threshold
-    return (uv > thr).astype(float)
+    return (uv > U_THRESHOLD * float(np.max(uv))).astype(float)
 
 
 def _bound_report(q: float, h: GridFn, V: GridFn, kernel: Kernel,
-                  u: GridFn | None, u_threshold: float | None,
-                  zero_boundary: bool = True) -> BoundReport:
+                  u: GridFn | None, zero_boundary: bool = True) -> BoundReport:
     """h·φ(-G(w)/h) with w = h^q V, restricted to {u > 0} when 0 < q < 1.
 
     Where bracket positivity is necessary (q > 1, q < 0), nodes failing it
     carry nan bounds and cleared flags, as do nodes where G(w) is undefined.
     """
     fam = PhiFamily(q)
-    chi = _chi(u, u_threshold, "the weight") if fam.truncated else None
+    chi = _chi(u, "the weight") if fam.truncated else None
     gres = potential(kernel, power_product(h, q, V, chi))
     hv = h.values
     n = h.grid.n
@@ -185,7 +179,7 @@ def _bound_report(q: float, h: GridFn, V: GridFn, kernel: Kernel,
 
     necessary = np.ones(n, bool)
     if q != 1.0 and not fam.truncated:
-        necessary[inner] = bracket[inner] > STRICT_SLACK
+        necessary[inner] = bracket[inner] > COND_SLACK
     bound = unified_bound(q, hv, ratio)
     bound[~(necessary & gres.well_defined)] = np.nan
     if zero_boundary:
@@ -202,7 +196,7 @@ def thm1_bound(problem: Problem, u: GridFn | None = None) -> BoundReport:
     q < 0 bracket positivity fails, carry nan bounds and cleared flags.
     """
     return _bound_report(problem.q, _solve_h(problem), problem.V,
-                         problem.kernel, u, problem.u_threshold)
+                         problem.kernel, u)
 
 
 def thm2_bound(problem: Problem, h_given: GridFn,
@@ -227,13 +221,11 @@ def thm2_bound(problem: Problem, h_given: GridFn,
     if np.any(-lap < -tol):
         raise InvalidHError("h is not superharmonic: -h'' < 0 beyond tolerance")
     return _bound_report(problem.q, h_given, problem.V, problem.kernel, u,
-                         problem.u_threshold,
                          zero_boundary=bool(hv[0] == 0.0 and hv[-1] == 0.0))
 
 
 def thm3_bound(q: float, V: GridFn, kernel: Kernel,
-               u: GridFn | None = None,
-               u_threshold: float | None = None) -> BoundReport:
+               u: GridFn | None = None) -> BoundReport:
     """Source-free bounds driven by G V alone: φ of the bracket t = (q-1)·GV.
 
     q = 1: lower bound e^{-GV}; otherwise t^{1/(1-q)}, that is
@@ -248,7 +240,7 @@ def thm3_bound(q: float, V: GridFn, kernel: Kernel,
     fam = PhiFamily(q)
     if fam.truncated:
         one = GridFn(V.grid, np.ones(V.grid.n))
-        V = power_product(one, 1.0, V, _chi(u, u_threshold, "V"))
+        V = power_product(one, 1.0, V, _chi(u, "V"))
     gres = potential(kernel, V)
     gv = gres.value.values
     with np.errstate(invalid="ignore"):
@@ -269,35 +261,20 @@ def thm3_bound(q: float, V: GridFn, kernel: Kernel,
 def thm4_conditions(problem: Problem) -> BoundReport:
     """Sharp sufficient condition for existence, with two-sided envelopes.
 
-    Regimes: q > 1 with V <= 0, or q < 0 with V >= 0 (checked nodewise).
+    Regimes: q > 1 with V <= 0, or q < 0 with V >= 0, checked nodewise by
+    the solver's own test (InvalidSignError; DomainError for 0 <= q <= 1).
     sufficient_ok(x) tests +-G(h^q V)(x) <= (1-1/q)^q h(x)/|q-1|; under it
     the solution is enveloped by [thm1 lower bound, q h/(q-1)] for q > 1 and
     by [h/(1-1/q), thm1 upper bound] for q < 0.
     """
     q = problem.q
-    Vv = problem.V.values
-    if q > 1.0:
-        if np.any(Vv[1:-1] > 0.0):
-            raise InvalidSignError("thm4 regime q>1 needs V <= 0")
-    elif q < 0.0:
-        if np.any(Vv[1:-1] < 0.0):
-            raise InvalidSignError("thm4 regime q<0 needs V >= 0")
-    else:
-        raise DomainError(f"thm4 conditions need q>1 or q<0, got q={q}")
-
-    a_star, x_star = sharp_constants(q)
+    _, x_star = _monotone_regime(q, problem.V)
     h = _solve_h(problem)
-    rep = _bound_report(q, h, problem.V, problem.kernel, None, None)
-
-    hv = h.values
-    gv = rep.ghqv.value.values
-    inner = slice(1, -1)
-    signed = -gv if q > 1.0 else gv
+    rep = _bound_report(q, h, problem.V, problem.kernel, None)
     sufficient = np.ones(h.grid.n, bool)
-    sufficient[inner] = signed[inner] <= a_star * hv[inner] * (1.0 + STRICT_SLACK) \
-        + STRICT_SLACK * hv[inner]
+    sufficient[1:-1] = _sharp_condition(q, h, rep.ghqv)[1]
     rep.sufficient_ok = sufficient & rep.ghqv.well_defined
-    envelope = GridFn(h.grid, x_star * hv)
+    envelope = GridFn(h.grid, x_star * h.values)
     if q > 1.0:
         rep.lower_envelope, rep.upper_envelope = rep.bound, envelope
     else:

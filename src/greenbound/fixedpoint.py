@@ -21,6 +21,10 @@ the regime bracket, and accepts it only when its residual
 sup|u + K(u^q V) - h| meets the tolerance.  The plain monotone iterates are
 what the trace records; the extrapolant is only an accepted limit carrying
 a residual certificate.
+
+The regime check and the sharp condition (:func:`_monotone_regime`,
+:func:`_sharp_condition`) are also Theorem 4's sufficiency test in
+:func:`greenbound.estimates.thm4_conditions`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .domain import GridFn
 from .errors import (DivergingBracketError, DomainError, InvalidSignError,
                      PreconditionFailedError)
-from .green import Kernel, potential, power_product
+from .green import Kernel, PotentialResult, potential, power_product
 
 __all__ = ["sharp_constants", "scalar_recurrence", "solve_integral_equation",
            "IterationTrace"]
@@ -56,6 +60,36 @@ def sharp_constants(q: float) -> tuple[float, float]:
     a_star = base / (q - 1.0) if q > 1.0 else base / (1.0 - q)
     x_star = q / (q - 1.0)
     return float(a_star), float(x_star)
+
+
+def _monotone_regime(q: float, V: GridFn) -> tuple[float, float]:
+    """(a*, x*) of the monotone regime of q, after checking V's sign.
+
+    q < 0 needs V >= 0 and q > 1 needs V <= 0 at every interior node
+    (else InvalidSignError); 0 <= q <= 1 has no sharp constants
+    (DomainError from :func:`sharp_constants`).
+    """
+    constants = sharp_constants(q)
+    inner = V.values[1:-1]
+    if q < 0.0 and np.any(inner < 0.0):
+        raise InvalidSignError("regime q<0 needs V >= 0")
+    if q > 1.0 and np.any(inner > 0.0):
+        raise InvalidSignError("regime q>1 needs V <= 0")
+    return constants
+
+
+def _sharp_condition(q: float, h: GridFn,
+                     gres: PotentialResult) -> tuple[np.ndarray, np.ndarray]:
+    """The sharp condition ±G(h^q V) <= a* h at the interior nodes.
+
+    ``gres`` is G(h^q V), taken with sign + for q < 0 and - for q > 1.
+    Returns the interior ratios ±G(h^q V)/h and the mask of those at most
+    a* up to COND_SLACK (nan ratios fail).
+    """
+    a_star, _ = sharp_constants(q)
+    g = gres.value.values[1:-1]
+    ratio = (g if q < 0.0 else -g) / h.values[1:-1]
+    return ratio, ratio <= a_star * (1.0 + COND_SLACK) + COND_SLACK
 
 
 def scalar_recurrence(q: float, a: float, k_max: int) -> list[float]:
@@ -139,18 +173,7 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
         raise PreconditionFailedError(
             "h must be positive and finite at interior nodes",
             nodes=list(np.flatnonzero(~(np.isfinite(hv) & (hv > 0)))[: 20]))
-    if q < 0.0:
-        if np.any(V.values[1:-1] < 0.0):
-            raise InvalidSignError("regime q<0 needs V >= 0")
-        decreasing = True
-    elif q > 1.0:
-        if np.any(V.values[1:-1] > 0.0):
-            raise InvalidSignError("regime q>1 needs V <= 0")
-        decreasing = False
-    else:
-        raise DomainError(f"integral-equation scheme needs q>1 or q<0, got q={q}")
-
-    a_star, x_star = sharp_constants(q)
+    _, x_star = _monotone_regime(q, V)
     sup_h = float(np.max(hv[1:-1]))
     if tol is None:
         tol = 1e-10 * sup_h
@@ -161,10 +184,8 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
         raise PreconditionFailedError(
             "K(h^q V) is not finite; sharp condition fails",
             nodes=list(np.flatnonzero(~kh.well_defined)[: 20]))
-    khv = kh.value.values
-    signed = khv if q < 0.0 else -khv
-    ratio = signed[inner] / hv[inner]
-    bad = np.flatnonzero(ratio > a_star * (1.0 + COND_SLACK) + COND_SLACK)
+    ratio, ok = _sharp_condition(q, h, kh)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         raise PreconditionFailedError(
             f"sharp condition K(h^q V) <= a* h fails at {bad.size} node(s)",
@@ -172,7 +193,7 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
     a_measured = float(max(np.max(ratio), 0.0))
 
     # bracket for clamping and for the extrapolation safeguard
-    if decreasing:
+    if q < 0.0:
         lower, upper = x_star * hv, hv
     else:
         lower, upper = hv, x_star * hv

@@ -349,7 +349,9 @@ def potential(kernel: Kernel, f: GridFn) -> PotentialResult:
     """Green potential (G f)(x_i) = ∫ G(x_i,y) f(y) dy at every node.
 
     f may be signed and may be +-inf at the endpoints (integrably singular
-    sources); interior values must be finite.  Undefinedness -- both the
+    sources), or nan there when an expression is attached (0·log 0, say):
+    such an endpoint is probed through the expression like an infinite
+    one.  Interior values must be finite.  Undefinedness -- both the
     positive and the negative part integrating to +inf -- is reported per
     node in the result status, never raised.
     """
@@ -357,7 +359,7 @@ def potential(kernel: Kernel, f: GridFn) -> PotentialResult:
     kernel._check_grid(grid)
     vals = f.values
     n = grid.n
-    if np.isnan(vals).any():
+    if np.isnan(vals).any() and (f.fn is None or np.isnan(vals[1:-1]).any()):
         raise NotIntegrableError("nan values are not integrable")
     if not np.all(np.isfinite(vals[1:-1])):
         raise NotIntegrableError("interior values must be finite")
@@ -483,6 +485,7 @@ def potential_improper(kernel: Kernel, f: GridFn, levels: int = 20) -> ImproperP
 def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
                           levels: int = 20) -> list[float]:
     """Exhaustion sequence of the improper potential at a single point."""
+    kernel._check_grid(f.grid)
     seq, _ = _exhaustion(f, np.array([float(x)]), levels)
     out = [float(v) for v in seq[:, 0] if not np.isnan(v)]
     if not out:

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greenbound import Interval, make_grid, sample, write_gridfn_csv
+import greenbound
+from greenbound import GridFn, Interval, make_grid, sample, write_gridfn_csv
+from greenbound import cli
 from greenbound.cli import main
 
 
@@ -262,3 +264,56 @@ def test_benchmark_cli_argv_shapes(tmp_path, capsys):
              "--out", out)]:
         code, _, err = run(capsys, *map(str, argv))
         assert code == 0, (argv, err)
+
+
+# README: 1 a precondition or pointwise condition fails, 2 numerical
+# non-convergence or a grid too coarse for the result, 3 malformed
+# configuration.  Classes not listed are condition failures.
+_README_EXIT = {"ConfigError": 3, "InvalidGridError": 3, "InvalidScenarioError": 3,
+                "SolverFailureError": 2, "ResolutionInsufficientError": 2,
+                "WindowTooSmallError": 2, "ValueError": 3, "OSError": 3}
+_PREFIX = {1: "condition failure", 2: "numerical failure", 3: "config error"}
+_ERRORS = sorted((obj for obj in vars(greenbound).values()
+                  if isinstance(obj, type) and issubclass(obj, greenbound.GreenboundError)),
+                 key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _ERRORS, ids=lambda cls: cls.__name__)
+def test_error_class_carries_its_readme_exit_code(cls):
+    assert cls.exit_code == _README_EXIT.get(cls.__name__, 1)
+
+
+@pytest.mark.parametrize("cls", [*_ERRORS, ValueError, OSError],
+                         ids=lambda cls: cls.__name__)
+def test_main_exits_with_each_error_class_code(monkeypatch, capsys, cls):
+    nodes = cls is greenbound.PreconditionFailedError
+
+    def handler(args):
+        raise cls("boom", nodes=list(range(3, 20))) if nodes else cls("boom")
+
+    _, flags, defaults = cli._COMMANDS["recurrence"]
+    monkeypatch.setitem(cli._COMMANDS, "recurrence", (handler, flags, defaults))
+    code, _, err = run(capsys, "recurrence")
+    expected = _README_EXIT.get(cls.__name__, 1)
+    suffix = f" (nodes {list(range(3, 13))})" if nodes else ""
+    assert (code, err) == (expected, f"{_PREFIX[expected]}: boom{suffix}\n")
+
+
+def _bound_with_v(tmp_path, capsys, q, vals):
+    grid = make_grid(Interval(0.0, 1.0), 201)
+    write_gridfn_csv(GridFn(grid, vals), tmp_path / "v.csv")
+    return run(capsys, "bound", "--q", q, "--grid-n", "201",
+               "--V-file", str(tmp_path / "v.csv"))
+
+
+def test_bound_sufficiency_flags_only_in_the_monotone_regime(tmp_path, capsys):
+    x = make_grid(Interval(0.0, 1.0), 201).nodes
+    code, out, _ = _bound_with_v(tmp_path, capsys, "2", np.cos(3.0 * x))
+    assert code == 0
+    assert json.loads(out)["sufficient_ok_everywhere"] is None
+    code, out, _ = _bound_with_v(tmp_path, capsys, "2", -1.0 - x)
+    assert code == 0
+    assert json.loads(out)["sufficient_ok_everywhere"] is True
+    code, out, err = _bound_with_v(tmp_path, capsys, "0.5", -1.0 - x)
+    assert (code, out) == (1, "")
+    assert err.startswith("condition failure:") and "needs u" in err

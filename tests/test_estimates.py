@@ -262,3 +262,32 @@ def test_report_serialization(setup, tmp_path):
     assert summary["schema"] == "greenbound/1"
     assert summary["regime"] == "q>1"
     assert summary["min_bracket"] > 0
+
+
+def test_benchmark_bounds_ops_fail_only_with_known_defects(tmp_path, monkeypatch):
+    """perfbench's bounds_sweep ops that reach thm4_conditions and the CLI.
+
+    One seeded cycle's n = 2001 thm4, thm1 and fd_sandwich ops, and
+    cli_bound on each of the workload's V files.  A result other than None
+    or a known defect counts as an unexpected failure of the workload.
+    """
+    from pathlib import Path
+
+    import greenbound
+    from perfbench.tracer import Tracer
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    load = workloads.BoundsSweep(greenbound, Tracer(), tmp_path)
+    rng = np.random.default_rng(3101)
+    load.setup(rng)
+    known = set(workloads.O.KNOWN_DEFECTS) | {None}
+    ops = [op for op in load.cycle(rng)
+           if op.kind in ("thm4", "thm1", "fd_sandwich")
+           and op.params.get("n", workloads.N_DEFAULT) == workloads.N_DEFAULT]
+    ops += [workloads.Op("cli_bound", {"csv": k, "q": 1.5 if regime == "q>1" else 1.0})
+            for k, (_, regime, _) in enumerate(load.csv)]
+    assert {op.kind for op in ops} == {"thm4", "thm1", "fd_sandwich", "cli_bound"}
+    for op in ops:
+        assert load.execute(op) in known, op

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greenbound import (DivergingBracketError, DomainError, GridFn, Interval,
-                        power_product,
+                        power_product, Problem, thm4_conditions,
                         InvalidSignError, Kernel, PreconditionFailedError,
                         make_grid, potential, sample, scalar_recurrence,
                         sharp_constants, solve_integral_equation)
@@ -188,3 +188,30 @@ def test_tangent_style_weights_keep_their_iterates(q, ratio, k_stop, converged,
         x_c = x_c if ratio < 1.0 else x_star
         hv = h.values
         assert np.max(np.abs(tr.solution.values - x_c * hv)) <= 1e-7 * np.max(hv)
+
+
+@pytest.mark.parametrize("q", [-1.0, 2.0])
+@pytest.mark.parametrize("r", [0.98, 1.0, 1.01])
+def test_solver_precondition_nodes_are_the_thm4_failures(q, r):
+    """The solver refuses exactly where Theorem 4's sufficiency flag fails.
+
+    V is scaled so that max ±G(h^q V)/h = r·a*.
+    """
+    grid = make_grid(Interval(0.0, 1.0), 401)
+    k = Kernel.closed_form(grid.interval)
+    f = sample(lambda x: 1.0, grid)
+    h = potential(k, f).value
+    sign = 1.0 if q < 0.0 else -1.0
+    shape = sign * (0.5 + np.sin(3.0 * grid.nodes) ** 2)
+    g = potential(k, power_product(h, q, GridFn(grid, shape))).value.values
+    c = r * sharp_constants(q)[0] / np.max(sign * g[1:-1] / h.values[1:-1])
+    V = GridFn(grid, c * shape)
+    failing = [int(i) for i in
+               np.flatnonzero(~thm4_conditions(Problem(q, V, f, k)).sufficient_ok)]
+    try:
+        solve_integral_equation(k, h, V, q, k_max=2)
+        refused = []
+    except PreconditionFailedError as exc:
+        refused = exc.nodes
+    assert refused == failing
+    assert bool(failing) == (r > 1.0)

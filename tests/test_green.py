@@ -140,6 +140,24 @@ def test_potential_rejects_interior_infinity(unit):
         potential(k, GridFn(grid, vals))
 
 
+def test_nan_endpoint_with_an_expression_is_probed():
+    """x·log x reads nan (0·-inf) at x = 0; its expression is integrable."""
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    k = Kernel.closed_form(grid.interval)
+    f = sample(lambda x: x * np.log(x), grid)
+    assert np.isnan(f.values[0])
+    exact = -0.0376427670716678     # mpmath.quad of G(1/2, y) y log y
+    mid = grid.n // 2
+    assert potential(k, f).value.values[mid] == pytest.approx(exact, rel=1e-6)
+    assert potential_improper(k, f).value.values[mid] == pytest.approx(exact, rel=1e-6)
+    with pytest.raises(NotIntegrableError):
+        potential(k, GridFn(grid, f.values))        # no expression to probe
+    vals = np.ones(grid.n)
+    vals[mid] = np.nan
+    with pytest.raises(NotIntegrableError):
+        potential(k, GridFn(grid, vals, fn=lambda x: 1.0))
+
+
 def test_power_product_endpoint_markers(unit):
     grid, k = unit
     h = potential(k, sample(lambda x: 1.0, grid)).value
@@ -174,6 +192,13 @@ def test_improper_at_point_outside():
         improper_potential_at(k, f, 1.0 + 1e-9)
     seq = improper_potential_at(k, f, 0.5, levels=12)
     assert len(seq) == 12 and seq[-1] == pytest.approx(0.125, abs=1e-4)
+
+
+def test_improper_at_point_checks_its_kernel():
+    grid = make_grid(Interval(0.0, 1.0), 101)
+    f = sample(lambda x: 1.0, grid)
+    with pytest.raises(DomainError):
+        improper_potential_at(Kernel.closed_form(Interval(0.0, 2.0)), f, 0.5)
 
 
 def test_iterated_kernel_zero_and_symmetry(unit):
