@@ -68,8 +68,9 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
 
     ``init`` defaults to the boundary lift plus h = G f, floored at 1e-8
     where positivity is required.  Non-convergence is reported, not raised;
-    an unrescuable Jacobian raises SolverFailureError and an initial guess
-    whose positivity cannot be restored raises InfeasibleStartError.
+    an unrescuable Jacobian raises SolverFailureError, and a non-finite
+    initial guess or a step whose positivity cannot be restored raises
+    InfeasibleStartError.
     """
     # imported here: scipy.linalg dominates the cost of ``import greenbound``
     from scipy.linalg import solve_banded
@@ -89,11 +90,11 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
         u = h[1:-1] + lift[1:-1]
     else:
         u = init.values[1:-1].astype(float).copy()
+    if not np.all(np.isfinite(u)):
+        raise InfeasibleStartError("initial guess not finite")
     positivity = _needs_positivity(q)
     if positivity:
         u = np.maximum(u, 1e-8)
-        if np.any(u <= 0.0):
-            raise InfeasibleStartError("initial guess not positive")
 
     m = u.size
     report_hist: list[float] = []
@@ -110,46 +111,39 @@ def fd_solve(problem: Problem, boundary: tuple[float, float] = (0.0, 0.0),
         floor = float(np.finfo(float).eps * size)
         return bool(np.isfinite(r) and r <= max(tol, floor)), floor
 
+    # the Jacobian band: constant off-diagonals, the diagonal set per shift
+    band = np.zeros((3, m))
+    band[0, 1:] = -1.0 / dx ** 2
+    band[2, :-1] = -1.0 / dx ** 2
     converged, floor = stop(u, res)
     it = 0
     while not converged and it < MAX_ITER:
         it += 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             diag = 2.0 / dx ** 2 + q * V * u ** (q - 1.0)
-        band = np.zeros((3, m))
-        band[0, 1:] = -1.0 / dx ** 2
-        band[1] = diag
-        band[2, :-1] = -1.0 / dx ** 2
-        step = None
         for shift in (0.0, 1e-10, 1e-6):
+            band[1] = diag + shift * max(1.0, float(np.max(np.abs(diag))))
             try:
-                band_try = band.copy()
-                band_try[1] = diag + shift * max(1.0, float(np.max(np.abs(diag))))
-                step = solve_banded((1, 1), band_try, -F)
-                if np.all(np.isfinite(step)):
-                    break
+                step = solve_banded((1, 1), band, -F)
             except np.linalg.LinAlgError:
-                step = None
-        if step is None or not np.all(np.isfinite(step)):
+                continue
+            if np.all(np.isfinite(step)):
+                break
+        else:
             raise SolverFailureError("tridiagonal Jacobian solve failed beyond rescue")
 
         lam = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS):
             trial = u + lam * step
-            if positivity and np.any(trial <= 0.0):
-                lam *= 0.5
-                damping += 1
-                continue
-            F_trial = _fd_residual(trial, u_l, u_r, V, f, q, dx)
-            res_trial = float(np.max(np.abs(F_trial)))
-            if np.isfinite(res_trial) and res_trial < res:
-                u, F, res = trial, F_trial, res_trial
-                accepted = True
-                break
+            if not (positivity and np.any(trial <= 0.0)):
+                F_trial = _fd_residual(trial, u_l, u_r, V, f, q, dx)
+                res_trial = float(np.max(np.abs(F_trial)))
+                if np.isfinite(res_trial) and res_trial < res:
+                    u, F, res = trial, F_trial, res_trial
+                    break
             lam *= 0.5
             damping += 1
-        if not accepted:
+        else:
             if positivity and np.any(u + lam * step <= 0.0):
                 raise InfeasibleStartError(
                     "positivity could not be restored by damping")

@@ -81,6 +81,17 @@ def _finite(text) -> float:
     return value
 
 
+def _count(text) -> int:
+    """A nonnegative integer (iteration caps, grid levels)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _pair(text) -> tuple[float, float]:
     """Two finite floats written a,b."""
     parts = text.split(",")
@@ -158,6 +169,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_solve_integral(args) -> int:
+    if args.kmax < 1:
+        raise ConfigError("solve-integral needs --kmax >= 1")
     problem, _ = _problem_from_args(args)
     h = potential(problem.kernel, problem.f).value
     trace = solve_integral_equation(problem.kernel, h, problem.V, problem.q,
@@ -287,8 +300,8 @@ _FLAGS = {
     "--beta": dict(type=_finite),
     "--gamma": dict(type=_finite),
     "--a": dict(type=_finite),
-    "--kmax": dict(type=int),
-    "--levels": dict(type=int, default=3),
+    "--kmax": dict(type=_count),
+    "--levels": dict(type=_count, default=3),
     "--tolerance": dict(type=_finite),
     "--boundary": dict(type=_pair, default=(0.0, 0.0),
                        help="u(a),u(b) (default 0,0)"),

@@ -209,17 +209,21 @@ def write_gridfn_csv(f: GridFn, path) -> None:
 def read_gridfn_csv(path) -> GridFn:
     """Read a GridFn written by :func:`write_gridfn_csv`.
 
-    The x column must be a uniform grid with at least three nodes.
+    The x column must be a uniform grid with at least three nodes; an empty
+    file or a row without two fields raises InvalidGridError.
     """
     xs, vs = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip().lower() for c in header[:2]] != ["x", "value"]:
             raise InvalidGridError(f"expected header x,value in {path}")
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise InvalidGridError(
+                    f"line {reader.line_num} of {path} is not x,value")
             xs.append(float(row[0]))
             vs.append(float(row[1]))
     xs = np.asarray(xs)

@@ -16,11 +16,13 @@ has a root in (0,1) iff 0 < a <= a*, with tangency at x* = 1/(1 - 1/q).
 At (or extremely near) tangency the plain iteration converges only like
 1/k.  The solver therefore periodically forms a nodewise inverse-linear
 extrapolant through three consecutive iterates (exact for the Möbius
-iteration map of q = -1, asymptotically correct otherwise), clamps it into
-the regime bracket, and accepts it only when its residual
-sup|u + K(u^q V) - h| meets the tolerance.  The plain monotone iterates are
-what the trace records; the extrapolant is only an accepted limit carrying
-a residual certificate.
+iteration map of q = -1, asymptotically correct otherwise) and clamps it
+into the regime bracket.  Acceptance: a plain iterate u_k is accepted on its
+step sup|u_{k-1} - u_k| <= tol, an extrapolant only on its own residual
+sup|u + K(u^q V) - h| <= tol; either way ``residual_norm`` is the accepted
+candidate's own residual.  The plain monotone iterates are what the trace
+records; the extrapolant is only an accepted limit carrying a residual
+certificate.
 
 The regime check and the sharp condition (:func:`_monotone_regime`,
 :func:`_sharp_condition`) are also Theorem 4's sufficiency test in
@@ -160,25 +162,25 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
     solution, nonincreasing iterates) or V <= 0 for q > 1 (minimal solution,
     nondecreasing iterates), and the sharp sufficient condition
     +-K(h^q V) <= a* h nodewise; violations raise PreconditionFailedError
-    with the offending node list.  Stops when sup|u + K(u^q V) - h| <= tol
-    (default 1e-10 sup h).  Boundary nodes are pinned to h's boundary
-    values; K integrals treat the boundary panels by the open midpoint
-    refinement of :mod:`greenbound.green`.
+    with the offending interior node indices (1..n-2).  Stops when
+    sup|u + K(u^q V) - h| <= tol (default 1e-10 sup h).  Boundary nodes are
+    pinned to h's boundary values; K integrals treat the boundary panels by
+    the open midpoint refinement of :mod:`greenbound.green`.
     """
     grid = h.grid
     if V.grid != grid:
         raise DomainError("h and V must share a grid")
     hv = h.values
-    if not np.all(np.isfinite(hv[1:-1])) or np.any(hv[1:-1] <= 0.0):
+    bad = np.flatnonzero(~(np.isfinite(hv[1:-1]) & (hv[1:-1] > 0.0))) + 1
+    if bad.size:
         raise PreconditionFailedError(
             "h must be positive and finite at interior nodes",
-            nodes=list(np.flatnonzero(~(np.isfinite(hv) & (hv > 0)))[: 20]))
+            nodes=list(bad[:20]))
     _, x_star = _monotone_regime(q, V)
     sup_h = float(np.max(hv[1:-1]))
     if tol is None:
         tol = 1e-10 * sup_h
 
-    inner = slice(1, -1)
     kh = potential(kernel, power_product(h, q, V))
     if not kh.finite:
         raise PreconditionFailedError(
@@ -192,76 +194,65 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
             nodes=list(bad + 1))
     a_measured = float(max(np.max(ratio), 0.0))
 
-    # bracket for clamping and for the extrapolation safeguard
-    if q < 0.0:
-        lower, upper = x_star * hv, hv
-    else:
-        lower, upper = hv, x_star * hv
+    # the regime bracket, equal to h at both ends: clipping into it (rounding
+    # excursions, the extrapolant) also pins the boundary nodes to h
+    far = x_star * hv
+    far[0], far[-1] = hv[0], hv[-1]
+    lower, upper = (far, hv) if q < 0.0 else (hv, far)
 
     trace = IterationTrace()
     u = hv.copy() if u0 is None else np.asarray(u0.values, dtype=float).copy()
-    if u0 is not None and (np.any(u[inner] <= 0) or np.any(u[inner] > np.maximum(upper[inner], hv[inner]))):
+    if u0 is not None and (np.any(u[1:-1] <= 0) or np.any(u[1:-1] > upper[1:-1])):
         raise PreconditionFailedError("u0 outside the admissible bracket")
     b = 1.0
     trace.b_sequence.append(b)
     trace.iterates.append(GridFn(grid, u))
 
-    def apply_map(vals: np.ndarray) -> np.ndarray:
+    def apply_map(vals: np.ndarray) -> tuple[np.ndarray, float]:
+        """T(vals) = h - K(vals^q V) and the step sup|vals - T(vals)|."""
         ku = potential(kernel, power_product(GridFn(grid, vals), q, V))
         if not ku.finite:
             raise PreconditionFailedError(
                 "K(u^q V) not finite during iteration",
                 nodes=list(np.flatnonzero(~ku.well_defined)[: 20]))
         nxt = hv - ku.value.values
-        nxt[0], nxt[-1] = hv[0], hv[-1]
-        return nxt
+        return nxt, float(np.max(np.abs(vals - nxt)))
 
-    last3: list[np.ndarray] = [u]
+    u_prev = None
     for k in range(1, int(k_max) + 1):
-        u_next = apply_map(u)
-        res = float(np.max(np.abs(u - u_next)))
+        u_next, res = apply_map(u)
         trace.residuals.append(res)
         b = 1.0 - a_measured * b ** q if q < 0.0 else 1.0 + a_measured * b ** q
         trace.b_sequence.append(b)
 
         # clamp rounding excursions outside the bracket
         viol = (u_next < lower - 1e-12 * sup_h) | (u_next > upper + 1e-12 * sup_h)
-        viol[0] = viol[-1] = False
         if np.any(viol):
             trace.damping_events += int(np.count_nonzero(viol))
             u_next = np.clip(u_next, lower, upper)
-            u_next[0], u_next[-1] = hv[0], hv[-1]
 
-        u = u_next
+        u_prev2, u_prev, u = u_prev, u, u_next
         if len(trace.iterates) < STORE_ITERATES:
             trace.iterates.append(GridFn(grid, u))
         else:
             trace.iterates_truncated = True
-        last3.append(u)
-        if len(last3) > 3:
-            last3.pop(0)
 
         if res <= tol:
+            cand = u
+        elif k >= 6 and k % 4 == 0 and res > 0.9 * trace.residuals[-2]:
+            cand = np.clip(_inverse_linear_extrapolate(u_prev2, u_prev, u),
+                           lower, upper)
+        else:
+            continue
+        # an iterate is accepted on its step, an extrapolant on its residual
+        _, cand_res = apply_map(cand)
+        if res <= tol or cand_res <= tol:
             trace.converged = True
+            trace.accelerated = res > tol
             trace.k_stop = k
-            trace.solution = GridFn(grid, u)
-            trace.residual_norm = float(np.max(np.abs(u - apply_map(u))))
+            trace.solution = GridFn(grid, cand)
+            trace.residual_norm = cand_res
             return trace
-
-        slow = (len(trace.residuals) >= 3
-                and trace.residuals[-1] > 0.9 * trace.residuals[-2])
-        if slow and k >= 6 and k % 4 == 0 and len(last3) == 3:
-            cand = _inverse_linear_extrapolate(*last3)
-            cand = np.clip(cand, lower, upper)
-            cand[0], cand[-1] = hv[0], hv[-1]
-            cand_res = float(np.max(np.abs(cand - apply_map(cand))))
-            if cand_res <= tol:
-                trace.converged = True
-                trace.accelerated = True
-                trace.k_stop = k
-                trace.solution = GridFn(grid, cand)
-                trace.residual_norm = cand_res
-                return trace
 
     trace.k_stop = int(k_max)
     trace.solution = GridFn(grid, u)

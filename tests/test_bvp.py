@@ -6,6 +6,7 @@ from greenbound import (GridFn, Interval, Kernel, NotOrderedError, PhiFamily,
                         Problem, ScenarioSpec, build_scenario, check_sub_super,
                         fd_solve, lemma41_identity_check, make_grid, potential,
                         sample, sharp_constants, thm4_conditions)
+from greenbound import InfeasibleStartError, SolverFailureError
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +180,35 @@ def test_import_leaves_scipy_unloaded():
          "import sys, greenbound; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("q", [2.0, -1.0])
+def test_fd_non_finite_initial_guess_is_infeasible(unit, q):
+    grid, k, one, h = unit
+    prob = Problem(q, GridFn(grid, np.full(grid.n, -1.0 if q > 1 else 1.0)), one, k)
+    u = h.values.copy()
+    u[40] = np.nan
+    with pytest.raises(InfeasibleStartError, match="not finite"):
+        fd_solve(prob, init=GridFn(grid, u))
+
+
+def test_fd_unsolvable_jacobian_is_a_solver_failure(unit, monkeypatch):
+    # every shift of the ladder fails: the Newton step cannot be formed
+    import scipy.linalg
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+    grid, k, one, h = unit
+    with pytest.raises(SolverFailureError):
+        fd_solve(Problem(2.0, sample(lambda x: -1.0, grid), one, k))
+
+
+def test_fd_positivity_lost_after_every_halving():
+    grid = make_grid(Interval(0.0, 1.0), 101)
+    k = Kernel.closed_form(grid.interval)
+    prob = Problem(0.5, sample(lambda x: -20.0, grid), sample(lambda x: 1.0, grid), k)
+    with pytest.raises(InfeasibleStartError,
+                       match="positivity could not be restored by damping"):
+        fd_solve(prob, boundary=(0.3, 0.1))

@@ -317,3 +317,40 @@ def test_bound_sufficiency_flags_only_in_the_monotone_regime(tmp_path, capsys):
     code, out, err = _bound_with_v(tmp_path, capsys, "0.5", -1.0 - x)
     assert (code, out) == (1, "")
     assert err.startswith("condition failure:") and "needs u" in err
+
+
+@pytest.mark.parametrize("text", ["x,value\n0\n", ""])
+def test_malformed_csv_is_config_error(tmp_path, capsys, text):
+    # a row with one field, and an empty file
+    (tmp_path / "V.csv").write_text(text)
+    code, _, err = run(capsys, "bound", "--q", "2", "--grid-n", "3",
+                       "--V-file", str(tmp_path / "V.csv"))
+    assert code == 3
+    assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve-integral", "--q", "-1", "--grid-n", "11", "--V", "constant:0.001",
+     "--kmax", "-5"),
+    ("solve-integral", "--q", "-1", "--grid-n", "11", "--V", "constant:0.001",
+     "--kmax", "0"),
+    ("recurrence", "--q", "-1", "--a", "0.25", "--kmax", "-3"),
+    ("recurrence", "--q", "-1", "--a", "0.25", "--kmax", "1.5"),
+    ("identity-check", "--q", "2", "--levels", "-2"),
+    ("recurrence", "--config", "k.cfg"),
+])
+def test_bad_counts_are_config_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.cfg").write_text("q=-1\na=0.25\nkmax=-1\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "config error:" in err
+
+
+def test_refused_h_names_interior_nodes(capsys):
+    # f = -1 makes h < 0 at the 9 interior nodes; h = 0 at nodes 0 and 10
+    code, _, err = run(capsys, "solve-integral", "--q", "-1", "--grid-n", "11",
+                       "--V", "constant:0.001", "--f", "constant:-1")
+    assert code == 1
+    assert err.strip().endswith("(nodes [1, 2, 3, 4, 5, 6, 7, 8, 9])")

@@ -215,3 +215,65 @@ def test_solver_precondition_nodes_are_the_thm4_failures(q, r):
         refused = exc.nodes
     assert refused == failing
     assert bool(failing) == (r > 1.0)
+
+
+def test_refused_h_nodes_are_interior():
+    # h = G f vanishes at both ends; only the interior node where h < 0 offends
+    grid = make_grid(Interval(0.0, 1.0), 11)
+    k = Kernel.closed_form(grid.interval)
+    hv = potential(k, sample(lambda x: 1.0, grid)).value.values.copy()
+    hv[5] = -1.0
+    with pytest.raises(PreconditionFailedError) as err:
+        solve_integral_equation(k, GridFn(grid, hv), sample(lambda x: 1e-3, grid), -1.0)
+    assert err.value.nodes == [5]
+
+
+@pytest.mark.parametrize("n,q,ratio,k_stop,converged,accelerated,calls", [
+    # 1 precondition + 1 per iteration + the certificate
+    (401, -1.0, 0.4, 11, True, False, 13),
+    # ... + one per extrapolant check: the one at k = 20 is accepted
+    (2001, -0.5, 1.0, 20, True, True, 22),
+    # ... + 46 refused extrapolant checks on the slow schedule
+    (2001, 3.0, 1.0, 200, False, False, 247)])
+def test_potential_calls_per_solve(monkeypatch, n, q, ratio, k_stop, converged,
+                                   accelerated, calls):
+    from greenbound import fixedpoint
+
+    grid = make_grid(Interval(0.0, 1.0), n)
+    k = Kernel.closed_form(grid.interval)
+    h = potential(k, sample(lambda x: 1.0, grid)).value
+    c = ratio * sharp_constants(q)[0]
+    with np.errstate(divide="ignore"):
+        V = GridFn(grid, (c if q < 0 else -c) * h.values ** (-q))
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return potential(*args)
+
+    monkeypatch.setattr(fixedpoint, "potential", counted)
+    tr = solve_integral_equation(k, h, V, q, k_max=200)
+    assert (tr.k_stop, tr.converged, tr.accelerated) == (k_stop, converged, accelerated)
+    assert count[0] == calls
+
+
+def test_benchmark_tangent_ops_fail_only_with_known_defects(tmp_path, monkeypatch):
+    """perfbench's tangent_solve op at c/a* = 0.5 and at tangency, every q.
+
+    A result other than None or the known tangency defect counts as an
+    unexpected failure of the workload.
+    """
+    from pathlib import Path
+
+    import greenbound
+    from perfbench.tracer import Tracer
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    load = workloads.TangentSolve(greenbound, Tracer(), tmp_path)
+    load.setup(np.random.default_rng(3101))
+    for q in workloads.TANGENT_QS:
+        for ratio in (0.5, 1.0):
+            op = workloads.Op("solve", {"q": q, "ratio": ratio})
+            assert load.execute(op) in (None, "tangency_unconverged"), op
