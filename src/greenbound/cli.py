@@ -22,10 +22,14 @@ key=value file passed with --config sets the command's defaults: keys are
 flag dests (grid_n, V_file, f_file, lam, ...), values are checked like
 flags, and explicit flags win.
 
-V and f can be CSV files (columns x,value), built-ins "constant:<c>" or
-"power-distance:<coef>,<beta>" (coef · d(x)^{-beta}), or come from a named
-scenario.  All floating output is written with full round-trip precision
-(%.17g in CSV); outputs are deterministic for identical configurations.
+V and f can be CSV files (columns x,value) or built-ins "constant:<c>" and
+"power-distance:<coef>,<beta>" (coef · d(x)^{-beta}); --scenario instead
+names the whole problem, with greenbound.scenarios.SCENARIOS' parameters.
+Handlers return (summary, table, exit code) and only main writes: the CSV
+table to --out, then the JSON summary to --summary or stdout, except that
+bound --format csv without --out and --summary prints the table instead.
+All floating output is written with full round-trip precision (%.17g in
+CSV); outputs are deterministic for identical configurations.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from .estimates import Problem, thm1_bound, thm4_conditions
 from .fixedpoint import scalar_recurrence, solve_integral_equation
 from .green import Kernel, potential
 from .phi import PhiFamily
-from .scenarios import (SCENARIO_INTERVALS, ScenarioSpec, _distance_power,
-                        build_scenario, fit_boundary_rate, sharpness_report_ex4,
+from .scenarios import (ScenarioSpec, _distance_power, _scenario, build_scenario,
+                        fit_boundary_rate, sharpness_report_ex4,
                         verify_cancellation_ex1)
 
 
@@ -124,143 +128,111 @@ def _coefficient(spec_text, grid, name):
     return fn
 
 
+def _refuse(args, flags, why) -> None:
+    """A ConfigError naming the first of these flags that is set."""
+    for flag in flags:
+        dest = _FLAGS.get(flag, {}).get("dest", flag[2:].replace("-", "_"))
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"{flag} {why}")
+
+
+def _scenario_spec(sid, args) -> ScenarioSpec:
+    """The scenario's spec from the flags set; the rest take its defaults."""
+    grid = make_grid(_scenario(sid)[0], args.grid_n)
+    return ScenarioSpec(sid, grid, q=args.q, alpha=args.alpha, lam=args.lam,
+                        beta=args.beta, gamma=args.gamma)
+
+
 def _problem_from_args(args) -> tuple[Problem, GridFn | None]:
     if args.scenario:
-        sid = args.scenario
-        if sid not in SCENARIO_INTERVALS:
-            raise ConfigError(f"unknown scenario {sid!r}")
-        grid = make_grid(SCENARIO_INTERVALS[sid], args.grid_n)
-        q = args.q if args.q is not None else (1.0 if sid == "ex1" else -1.0)
-        return build_scenario(ScenarioSpec(sid, grid, q=q, alpha=args.alpha,
-                                           lam=args.lam, beta=args.beta,
-                                           gamma=args.gamma))
-    if args.V is None and args.V_file is None:
-        raise ConfigError("need --V/--V-file or --scenario")
+        _refuse(args, _SOURCE, "is not read with --scenario")
+        return build_scenario(_scenario_spec(args.scenario, args))
+    _refuse(args, _PARAMS, "is read only with --scenario")
+    if (args.V is None) == (args.V_file is None):
+        raise ConfigError("need one of --V and --V-file, or --scenario")
+    if args.f is not None and args.f_file is not None:
+        raise ConfigError("--f and --f-file exclude each other")
     if args.q is None:
         raise ConfigError("need --q")
-    grid = make_grid(Interval(*args.interval), args.grid_n)
+    grid = make_grid(Interval(*(args.interval or (0.0, 1.0))), args.grid_n)
     V = _coefficient(args.V_file or args.V, grid, "V")
     f = _coefficient(args.f_file or args.f or "constant:1", grid, "f")
     return Problem(args.q, V, f, Kernel.closed_form(grid.interval)), None
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple:
     problem, _ = _problem_from_args(args)
     try:
         report = thm4_conditions(problem)
     except (InvalidSignError, DomainError):
         # outside Theorem 4's monotone regime: no sufficiency flags
         report = thm1_bound(problem)
-    if args.out:
-        report.to_csv(args.out)
     summary = report.summary()
-    if not args.out and not args.summary and args.format == "csv":
-        report.to_csv(sys.stdout)
-    else:
-        write_json(summary, args.summary)
     violated = report.violated_nodes()
     undefined = summary["undefined_nodes"]
-    if violated or undefined:
-        print(f"condition failure: {len(violated)} bracket violation(s), "
-              f"{len(undefined)} undefined node(s); first violations: "
-              f"{violated[:10]}", file=sys.stderr)
-        return 1
-    return 0
+    if not (violated or undefined):
+        return summary, report.to_csv, 0
+    print(f"condition failure: {len(violated)} bracket violation(s), "
+          f"{len(undefined)} undefined node(s); first violations: "
+          f"{violated[:10]}", file=sys.stderr)
+    return summary, report.to_csv, 1
 
 
-def _cmd_solve_integral(args) -> int:
+def _cmd_solve_integral(args) -> tuple:
     if args.kmax < 1:
         raise ConfigError("solve-integral needs --kmax >= 1")
     problem, _ = _problem_from_args(args)
     h = potential(problem.kernel, problem.f).value
     trace = solve_integral_equation(problem.kernel, h, problem.V, problem.q,
                                     tol=args.tolerance, k_max=args.kmax)
-    if args.out:
-        write_gridfn_csv(trace.solution, args.out)
-    write_json({
-        "schema": SCHEMA,
-        "converged": trace.converged,
-        "accelerated": trace.accelerated,
-        "k_stop": trace.k_stop,
-        "residual_norm": trace.residual_norm,
-        "damping_events": trace.damping_events,
-        "steps": trace.export_steps(),
-    }, args.summary)
-    return 0 if trace.converged else 2
+    summary = {"converged": trace.converged, "accelerated": trace.accelerated,
+               "k_stop": trace.k_stop, "residual_norm": trace.residual_norm,
+               "damping_events": trace.damping_events, "steps": trace.export_steps()}
+    return (summary, lambda path: write_gridfn_csv(trace.solution, path),
+            0 if trace.converged else 2)
 
 
-def _cmd_solve_bvp(args) -> int:
+def _cmd_solve_bvp(args) -> tuple:
     problem, _ = _problem_from_args(args)
     report = fd_solve(problem, boundary=args.boundary, tol=args.tolerance)
-    if args.out:
-        report.to_csv(args.out)
-    write_json({
-        "schema": SCHEMA,
-        "converged": report.converged,
-        "residual_norm": report.residual_norm,
-        "iterations": report.iterations,
-        "damping_events": report.damping_events,
-    }, args.summary)
-    return 0 if report.converged else 2
+    summary = {"converged": report.converged, "residual_norm": report.residual_norm,
+               "iterations": report.iterations, "damping_events": report.damping_events}
+    return summary, report.to_csv, 0 if report.converged else 2
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args) -> tuple:
     if not args.id:
         raise ConfigError("scenario command needs --id")
-    sid = args.id
-    if sid not in SCENARIO_INTERVALS:
-        raise ConfigError(f"unknown scenario id {sid!r}")
-    grid = make_grid(SCENARIO_INTERVALS[sid], args.grid_n)
-    q = (-1.0 if sid == "ex4" else -0.5) if args.q is None else args.q
-    # ex3's V = -d^{-beta} has no lambda; ex2 and ex4 default to lambda = 1
-    lam = 1.0 if args.lam is None and sid != "ex3" else args.lam
-    if sid in ("ex1", "ex4"):
-        rep = (verify_cancellation_ex1(args.alpha, grid) if sid == "ex1"
-               else sharpness_report_ex4(lam, args.gamma, q, grid))
-        if args.out:
-            rep.curves_to_csv(args.out)
-        write_json(rep.summary(), args.summary)
-        return 0
-    spec = ScenarioSpec(sid, grid, q=q, lam=lam, beta=args.beta)
+    spec = _scenario_spec(args.id, args)
+    if spec.id in ("ex1", "ex4"):
+        rep = (verify_cancellation_ex1(spec.alpha, spec.grid) if spec.id == "ex1"
+               else sharpness_report_ex4(spec.lam, spec.gamma, spec.q, spec.grid))
+        return rep.summary(), rep.curves_to_csv, 0
     problem, _ = build_scenario(spec)
     rep = thm1_bound(problem)
     if rep.ghqv.plus_infinite or rep.ghqv.minus_infinite:
-        summary = {"schema": SCHEMA, "scenario": sid,
-                   "weight_potential_infinite": True}
-        write_json(summary, args.summary)
-        return 1
+        return {"scenario": spec.id, "weight_potential_infinite": True}, None, 1
     # fit the size of G(w): the absorbing ex3 weight has G(w) < 0
     g = rep.ghqv.value
     fit = fit_boundary_rate(GridFn(g.grid, np.abs(g.values)), rep.h)
-    if args.out:
-        rep.to_csv(args.out)
-    write_json({
-        "schema": SCHEMA,
-        "scenario": sid,
+    return {
+        "scenario": spec.id,
         "parameters": {"q": spec.q, "lam": spec.lam, "beta": spec.beta},
         "fitted_rates": {"slope": fit.slope, "slope_ci": fit.slope_ci,
                          "model": fit.model},
         "condition_flags": {
             "necessary_ok_everywhere": bool(np.all(rep.necessary_ok))},
-    }, args.summary)
-    return 0
+    }, rep.to_csv, 0
 
 
-def _cmd_recurrence(args) -> int:
+def _cmd_recurrence(args) -> tuple:
     if args.q is None or args.a is None:
         raise ConfigError("recurrence needs --q and --a")
     seq = scalar_recurrence(args.q, args.a, args.kmax)
-    write_json({
-        "schema": SCHEMA,
-        "q": args.q,
-        "a": args.a,
-        "k_max": args.kmax,
-        "b_sequence": seq,
-    }, args.summary)
-    return 0
+    return {"q": args.q, "a": args.a, "k_max": args.kmax, "b_sequence": seq}, None, 0
 
 
-def _cmd_identity_check(args) -> int:
+def _cmd_identity_check(args) -> tuple:
     if args.q is None:
         raise ConfigError("identity-check needs --q")
     fam = PhiFamily(args.q)
@@ -277,14 +249,8 @@ def _cmd_identity_check(args) -> int:
         n = 2 * n - 1
     ratios = [discrepancies[i] / discrepancies[i + 1]
               for i in range(len(discrepancies) - 1)]
-    write_json({
-        "schema": SCHEMA,
-        "q": args.q,
-        "n0": args.grid_n,
-        "discrepancies": discrepancies,
-        "halving_ratios": ratios,
-    }, args.summary)
-    return 0
+    return {"q": args.q, "n0": args.grid_n, "discrepancies": discrepancies,
+            "halving_ratios": ratios}, None, 0
 
 
 # add_argument keywords per flag (none: a string, default None); a
@@ -293,7 +259,7 @@ _FLAGS = {
     "--config": dict(help="flat key=value config file; keys are flag dests"),
     "--q": dict(type=_finite),
     "--grid-n": dict(type=int, default=2001),
-    "--interval": dict(type=_pair, default=(0.0, 1.0), help="a,b (default 0,1)"),
+    "--interval": dict(type=_pair, help="a,b (default 0,1)"),
     "--V": dict(help="builtin: constant:<c> | power-distance:<coef>,<beta>"),
     "--alpha": dict(type=_finite),
     "--lambda": dict(dest="lam", type=_finite),
@@ -310,8 +276,10 @@ _FLAGS = {
     "--format": dict(type=_format, default="json", metavar="{csv,json}"),
 }
 
-_PROBLEM = ("--q", "--grid-n", "--interval", "--V", "--V-file", "--f",
-            "--f-file", "--scenario", "--alpha", "--lambda", "--beta", "--gamma")
+# a problem comes from the _SOURCE flags or from --scenario, never both
+_SOURCE = ("--interval", "--V", "--V-file", "--f", "--f-file")
+_PARAMS = ("--alpha", "--lambda", "--beta", "--gamma")   # of a scenario
+_PROBLEM = ("--q", "--grid-n", *_SOURCE, "--scenario", *_PARAMS)
 
 # command: (handler, the flags it reads, its defaults)
 _COMMANDS = {
@@ -323,9 +291,7 @@ _COMMANDS = {
                   (*_PROBLEM, "--tolerance", "--boundary", "--out", "--summary"),
                   {"tolerance": 1e-8}),
     "scenario": (_cmd_scenario,
-                 ("--id", "--q", "--grid-n", "--alpha", "--lambda", "--beta",
-                  "--gamma", "--out", "--summary"),
-                 {"alpha": 0.5, "beta": 1.0, "gamma": 1.0}),
+                 ("--id", "--q", "--grid-n", *_PARAMS, "--out", "--summary"), {}),
     "recurrence": (_cmd_recurrence, ("--q", "--a", "--kmax", "--summary"),
                    {"kmax": 200}),
     "identity-check": (_cmd_identity_check,
@@ -371,7 +337,15 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command][0](args)
+        summary, table, code = _COMMANDS[args.command][0](args)
+        out = getattr(args, "out", None)
+        if table and out:
+            table(out)
+        if getattr(args, "format", None) == "csv" and not (out or args.summary):
+            table(sys.stdout)
+        else:
+            write_json({"schema": SCHEMA, **summary}, args.summary)
+        return code
     except SystemExit as exc:  # --help
         return 3 if exc.code not in (0, None) else 0
     except (GreenboundError, ValueError, OSError) as exc:

@@ -1,6 +1,7 @@
 """Built-in model problems with known structure, and their verifiers.
 
-Four families are provided:
+Four families are provided; ``SCENARIOS`` gives each one's interval and the
+parameters it reads, with their defaults:
 
 * ``ex1``  on (0,1), q = 1: the rapidly oscillating potential built from the
   exact solution u = x(1-x)(1 + x sin(π/x^α)).  Near x = 0 the leading part
@@ -54,29 +55,56 @@ FIT_MIN_NODES = 8
 BOUNDED_SLOPE = 0.1         # |fitted slope| below this classifies as bounded
 EX1_HEAD_BUDGET = 5e-11     # oscillatory head budget of the alpha < 1 check
 
-SCENARIO_INTERVALS = {
-    "ex1": Interval(0.0, 1.0),
-    "ex2": Interval(0.0, 1.0),
-    "ex3": Interval(0.0, 1.0),
-    "ex4": Interval(-1.0, 1.0),
+# id: (interval, every parameter the scenario reads with its default)
+SCENARIOS = {
+    "ex1": (Interval(0.0, 1.0), {"q": 1.0, "alpha": 0.5}),
+    "ex2": (Interval(0.0, 1.0), {"q": -0.5, "lam": 1.0, "beta": 1.0}),
+    "ex3": (Interval(0.0, 1.0), {"q": -0.5, "beta": 1.0}),
+    "ex4": (Interval(-1.0, 1.0), {"q": -1.0, "lam": 1.0, "gamma": 1.0}),
 }
+
+
+def _scenario(sid: str) -> tuple[Interval, dict]:
+    """The SCENARIOS entry of an id; an unknown id is an invalid scenario."""
+    if sid not in SCENARIOS:
+        raise InvalidScenarioError(f"unknown scenario {sid!r}")
+    return SCENARIOS[sid]
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Identifier + parameters for one built-in scenario."""
+    """Identifier + parameters for one built-in scenario.
+
+    An unset parameter takes its ``SCENARIOS`` default.  A parameter the
+    scenario does not read, a grid off its interval, q != 1 for ex1, q >= 0
+    for the others, or alpha, lam, beta or gamma <= 0 is an invalid scenario.
+    """
 
     id: str
     grid: Grid
-    q: float = 1.0
+    q: float | None = None
     alpha: float | None = None
     lam: float | None = None
     beta: float | None = None
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.id not in SCENARIO_INTERVALS:
-            raise InvalidScenarioError(f"unknown scenario id {self.id!r}")
+        interval, defaults = _scenario(self.id)
+        for name in ("q", "alpha", "lam", "beta", "gamma"):
+            value = getattr(self, name)
+            if value is None:
+                object.__setattr__(self, name, defaults.get(name))
+            elif name not in defaults:
+                raise InvalidScenarioError(f"{self.id} does not read {name}")
+            elif name != "q" and not value > 0:
+                raise InvalidScenarioError(f"{self.id} needs {name} > 0")
+        if self.grid.interval != interval:
+            raise InvalidScenarioError(
+                f"{self.id} lives on ({interval.left:g},{interval.right:g})")
+        if self.id == "ex1" and self.q != 1.0:
+            raise InvalidScenarioError("ex1 is the linear scenario (q = 1)")
+        if self.id != "ex1" and not self.q < 0:
+            raise InvalidScenarioError(f"{self.id} needs q < 0")
 
 
 def ex1_functions(alpha: float) -> dict:
@@ -168,46 +196,18 @@ def _distance_power(interval: Interval, coef: float, beta: float):
     return V
 
 
-def _check_interval(sid: str, grid: Grid) -> None:
-    iv = SCENARIO_INTERVALS[sid]
-    if grid.interval != iv:
-        raise InvalidScenarioError(f"{sid} lives on ({iv.left:g},{iv.right:g})")
-
-
 def build_scenario(spec: ScenarioSpec) -> tuple[Problem, GridFn | None]:
     """Assemble (Problem, exact solution when known) for a scenario."""
     grid = spec.grid
-    _check_interval(spec.id, grid)
     one = sample(lambda x: 1.0, grid)
     kernel = Kernel.closed_form(grid.interval)
-    if spec.id == "ex1":
-        if spec.alpha is None or not spec.alpha > 0:
-            raise InvalidScenarioError("ex1 needs alpha > 0")
-        if spec.q != 1.0:
-            raise InvalidScenarioError("ex1 is the linear scenario (q = 1)")
-        fns = ex1_functions(spec.alpha)
-        problem = Problem(1.0, sample(fns["V"], grid), one, kernel)
-        return problem, sample(fns["u"], grid)
     if spec.id in ("ex2", "ex3"):
-        if not spec.q < 0:
-            raise InvalidScenarioError(f"{spec.id} needs q < 0")
-        if spec.beta is None or not spec.beta > 0:
-            raise InvalidScenarioError(f"{spec.id} needs beta > 0")
-        if spec.id == "ex2":
-            if spec.lam is None or not spec.lam > 0:
-                raise InvalidScenarioError("ex2 needs lam > 0")
-            V = _distance_power(grid.interval, spec.lam, spec.beta)
-        else:
-            V = _distance_power(grid.interval, -1.0, spec.beta)
+        coef = spec.lam if spec.id == "ex2" else -1.0
+        V = _distance_power(grid.interval, coef, spec.beta)
         return Problem(spec.q, sample(V, grid), one, kernel), None
-    # ex4
-    if not spec.q < 0:
-        raise InvalidScenarioError("ex4 needs q < 0")
-    if spec.lam is None or spec.gamma is None:
-        raise InvalidScenarioError("ex4 needs lam and gamma")
-    fns = ex4_functions(spec.lam, spec.gamma, spec.q)
-    problem = Problem(spec.q, sample(fns["V"], grid), one, kernel)
-    return problem, sample(fns["u"], grid)
+    fns = (ex1_functions(spec.alpha) if spec.id == "ex1"
+           else ex4_functions(spec.lam, spec.gamma, spec.q))
+    return Problem(spec.q, sample(fns["V"], grid), one, kernel), sample(fns["u"], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     """
     if not 0 < alpha <= 1:
         raise InvalidScenarioError("cancellation check covers 0 < alpha <= 1")
-    _check_interval("ex1", grid)
+    ScenarioSpec("ex1", grid, alpha=alpha)
     fns = ex1_functions(alpha)
 
     positivity_min = float(np.min(fns["D"](_positivity_scan())))
@@ -501,8 +501,7 @@ def sharpness_report_ex4(lam: float, gamma: float, q: float,
     exact one within 0.05 and the ratio exact/bound stays bounded away from
     zero on the fit window, 'not-sharp' otherwise.
     """
-    spec = ScenarioSpec("ex4", grid, q=q, lam=lam, gamma=gamma)
-    problem, exact = build_scenario(spec)
+    problem, exact = build_scenario(ScenarioSpec("ex4", grid, q=q, lam=lam, gamma=gamma))
     rep = thm1_bound(problem)
     flags = {
         "plus_infinite": rep.ghqv.plus_infinite,

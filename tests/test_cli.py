@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,19 @@ _BOUND = ("bound", "--q", "2", "--grid-n", "101")
     ("solve-bvp", "--q", "2", "--V", "constant:-1", "--f", "constant:1",
      "--tol", "1e-9"),
     ("scenario", "--id", "ex4", "--s", "x.json"),
+    # flags of one problem source given with the other
+    ("bound", "--q", "-1", "--scenario", "ex4", "--gamma", "1", "--lambda", "1",
+     "--grid-n", "201", "--V", "constant:5", "--interval", "0,3"),
+    ("bound", "--q", "2", "--V", "constant:-1", "--grid-n", "201", "--beta", "5",
+     "--alpha", "3"),
+    ("bound", "--q", "-1", "--grid-n", "201", "--V", "constant:0.01", "--V-file", "x.csv"),
+    ("bound", "--q", "-1", "--grid-n", "201", "--V", "constant:0.01", "--f", "constant:1",
+     "--f-file", "x.csv"),
+    # a parameter the scenario does not read
+    ("scenario", "--id", "ex3", "--lambda", "7"),
+    ("scenario", "--id", "ex1", "--q", "-0.5"),
+    ("bound", "--scenario", "ex4", "--q", "-1", "--lambda", "1", "--gamma", "1",
+     "--beta", "3"),
 ])
 def test_non_finite_builtin_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -354,3 +368,102 @@ def test_refused_h_names_interior_nodes(capsys):
                        "--V", "constant:0.001", "--f", "constant:-1")
     assert code == 1
     assert err.strip().endswith("(nodes [1, 2, 3, 4, 5, 6, 7, 8, 9])")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--scenario", "ex4", "--V", "constant:5"), "--V"),
+    (("--scenario", "ex4", "--V-file", "v.csv"), "--V-file"),
+    (("--scenario", "ex4", "--f", "constant:2"), "--f"),
+    (("--scenario", "ex4", "--f-file", "v.csv"), "--f-file"),
+    (("--scenario", "ex4", "--interval", "0,2"), "--interval"),
+    (("--q", "2", "--V", "constant:-1", "--alpha", "0.5"), "--alpha"),
+    (("--q", "2", "--V", "constant:-1", "--lambda", "1"), "--lambda"),
+    (("--q", "2", "--V", "constant:-1", "--beta", "1"), "--beta"),
+    (("--q", "2", "--V", "constant:-1", "--gamma", "1"), "--gamma"),
+    (("--q", "2", "--V", "constant:-1", "--V-file", "v.csv"), "--V-file"),
+    (("--q", "2", "--V", "constant:-1", "--f", "constant:1", "--f-file", "v.csv"),
+     "--f-file"),
+])
+def test_problem_sources_exclude_each_other(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    write_gridfn_csv(sample(lambda x: -1.0, make_grid(Interval(0.0, 1.0), 201)), "v.csv")
+    code, out, err = run(capsys, "bound", "--grid-n", "201", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("config error: ")
+    assert re.search(re.escape(flag) + r"(?![\w-])", err), err
+
+
+def test_bound_scenario_takes_the_scenario_defaults(tmp_path, capsys):
+    # ex2 reads q, lambda and beta, with defaults -0.5, 1 and 1
+    given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+    run(capsys, "bound", "--scenario", "ex2", "--q", "-0.5", "--lambda", "1",
+        "--beta", "1", "--grid-n", "401", "--out", str(given))
+    run(capsys, "bound", "--scenario", "ex2", "--grid-n", "401", "--out", str(default))
+    assert given.read_bytes() and default.read_bytes() == given.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--q", "2", "--grid-n", "101", "--V", "constant:-1", "--out", "t.csv"),
+    ("solve-integral", "--q", "-1", "--grid-n", "101", "--V", "constant:0.001",
+     "--out", "t.csv"),
+    ("solve-bvp", "--q", "2", "--grid-n", "101", "--V", "constant:-1", "--out", "t.csv"),
+    ("scenario", "--id", "ex4", "--out", "t.csv"),
+    ("recurrence", "--q", "-1", "--a", "0.25"),
+    ("identity-check", "--q", "2", "--levels", "1"),
+])
+def test_each_command_writes_its_summary_once(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    written = []
+    monkeypatch.setattr(cli, "write_json", lambda obj, path=None: written.append(obj))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == ""
+    assert len(written) == 1 and written[0]["schema"] == "greenbound/1"
+    assert ("--out" in argv) == (tmp_path / "t.csv").exists()
+
+
+_CSV_BOUND = ("bound", "--q", "2", "--grid-n", "101", "--V", "constant:-1",
+              "--format", "csv")
+
+
+def test_bound_format_csv_prints_the_table(tmp_path, capsys):
+    code, out, _ = run(capsys, *_CSV_BOUND)
+    assert code == 0
+    code, again, _ = run(capsys, *_CSV_BOUND, "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    assert out.encode() == (tmp_path / "t.csv").read_bytes()
+    # with --out the summary goes to stdout as with --format json
+    assert json.loads(again)["schema"] == "greenbound/1"
+
+
+def test_bound_format_csv_with_summary_writes_only_the_summary(tmp_path, capsys):
+    summary = tmp_path / "s.json"
+    code, out, _ = run(capsys, *_CSV_BOUND, "--summary", str(summary))
+    assert (code, out) == (0, "")
+    data = json.loads(summary.read_text())
+    assert data["schema"] == "greenbound/1" and data["regime"] == "q>1"
+
+
+def _readme_flags(text):
+    """The flags that open a code span: `--boundary u(a),u(b)`, not `bound --q`."""
+    return set(re.findall(r"`(--[A-Za-z][\w-]*)", text))
+
+
+def test_readme_flag_table_matches_the_commands():
+    """README's per-command flag table, and its scenario defaults, against the code."""
+    from greenbound.scenarios import SCENARIOS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Each command accepts only the flags it reads", 1)[1]
+    problem = _readme_flags(section.split("The problem flags are", 1)[1].split(".", 1)[0])
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section.split("\n\n", 2)[1],
+                           re.MULTILINE))
+    assert rows.keys() == cli._COMMANDS.keys()
+    for command, row in rows.items():
+        flags = _readme_flags(row) | (problem if "the problem flags" in row else set())
+        assert flags == set(cli._COMMANDS[command][1]), command
+    dest = {"--lambda": "lam"}
+    documented = {sid: {dest.get(flag, flag[2:]): float(value)
+                        for flag, value in re.findall(r"`(--\w+)` \(([^)]*)\)", params)}
+                  for sid, params in re.findall(r"(ex\d) ((?:`--\w+` \([^)]*\),? ?)+)",
+                                                rows["scenario"])}
+    assert documented == {sid: defaults for sid, (_, defaults) in SCENARIOS.items()}

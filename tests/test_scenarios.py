@@ -352,3 +352,50 @@ def test_ex1_summary_reports_head_diagnostics():
     assert one["periods"] == 2 ** 16 - 2
     assert {"growth_factor", "improper_values", "probes"} <= one.keys()
     assert one["schema"] == half["schema"] == "greenbound/1"
+
+
+def test_scenario_spec_takes_the_table_defaults():
+    spec = ScenarioSpec("ex4", make_grid(Interval(-1.0, 1.0), 11))
+    assert (spec.q, spec.lam, spec.gamma) == (-1.0, 1.0, 1.0)
+    assert spec.alpha is None and spec.beta is None
+    spec = ScenarioSpec("ex2", make_grid(Interval(0.0, 1.0), 11), beta=1.5)
+    assert (spec.q, spec.lam, spec.beta) == (-0.5, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("sid,params", [
+    ("ex3", {"lam": 1.0}), ("ex1", {"beta": 1.0}), ("ex2", {"gamma": 1.0}),
+    ("ex4", {"alpha": 0.5}), ("ex1", {"q": -0.5}), ("ex3", {"q": 0.5}),
+    ("ex2", {"beta": 0.0}), ("ex4", {"gamma": np.nan}),
+])
+def test_scenario_spec_refuses_what_the_scenario_does_not_read(sid, params):
+    # ScenarioSpec itself refuses these, before build_scenario
+    interval = Interval(-1.0, 1.0) if sid == "ex4" else Interval(0.0, 1.0)
+    with pytest.raises(InvalidScenarioError):
+        ScenarioSpec(sid, make_grid(interval, 11), **params)
+
+
+@pytest.mark.parametrize("seed", [3101, 3102])
+def test_benchmark_scenario_ops_fail_only_with_known_defects(tmp_path, monkeypatch, seed):
+    """perfbench's bounds_sweep ops that build scenarios, directly and by the CLI.
+
+    One seeded cycle's scenario_fit, ex4, cli_ex4 and cli_ex2 ops.  A result
+    other than None or a known defect counts as an unexpected failure of the
+    workload, so a ScenarioSpec check these ops trip on shows here.
+    """
+    from pathlib import Path
+
+    import greenbound
+    from perfbench.tracer import Tracer
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    load = workloads.BoundsSweep(greenbound, Tracer(), tmp_path)
+    rng = np.random.default_rng(seed)
+    load.setup(rng)
+    known = set(workloads.O.KNOWN_DEFECTS) | {None}
+    kinds = {"scenario_fit", "ex4", "cli_ex4", "cli_ex2"}
+    ops = [op for op in load.cycle(rng) if op.kind in kinds]
+    assert {op.kind for op in ops} == kinds
+    for op in ops:
+        assert load.execute(op) in known, op
