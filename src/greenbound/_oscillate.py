@@ -24,9 +24,7 @@ certificate is reported with the values.  Partial sums at sign changes
 bracket the improper integral, so resolved sum + certificate realizes the
 improper (exhaustion-limit) value when the integral converges only
 conditionally.  The certificate is meaningless for non-alternating
-integrands (e.g. |w|); callers forcing a cutoff with ``y_floor`` get plain
-truncated values (lower bounds for nonnegative w) and ``alternating_ok``
-is reported for transparency.
+integrands (e.g. |w|), so ``alternating_ok`` is reported with it.
 """
 
 from __future__ import annotations
@@ -49,19 +47,16 @@ class OscillatoryResult:
     """G w at the requested points.
 
     With scalar edges every array is indexed by point.  With arrays of
-    exhaustion edges ``values``, ``eps``, ``a_cum``, ``b_cum`` and
-    ``head_bound`` gain a leading level axis; ``periods`` counts the deepest
-    level's intervals and ``alternating_ok`` holds for all levels.
+    exhaustion edges ``values``, ``eps`` and ``head_bound`` gain a leading
+    level axis; ``periods`` counts the deepest level's intervals and
+    ``alternating_ok`` holds for all levels.
     """
 
     values: np.ndarray          # G w at the requested points
     head_bound: float | np.ndarray  # certified |unresolved head of A|
     eps: np.ndarray             # per-point bound propagated from the head
-    y_bottom: float             # deepest resolved breakpoint
     periods: int                # number of resolved sign intervals
     alternating_ok: bool        # trailing period magnitudes decrease with depth
-    a_cum: np.ndarray           # A at the requested points (resolved part)
-    b_cum: np.ndarray           # B at the requested points
 
 
 def _zero_range(alpha: float, lo: float, hi: float, k_cap: int):
@@ -87,13 +82,14 @@ def _period_probe(w_fn, alpha: float, a: float, k: int) -> float:
                             * half * _GW)))
 
 
-def _resolved_range(w_fn, alpha, a, b, y_floor, head_budget, max_periods):
+def _resolved_range(w_fn, alpha, a, b, head_budget, max_periods):
     """(k_min, k_max, resolved_to_edge) of one interval's sign changes.
 
     For a = 0 the resolution deepens geometrically until the probed period
     integral of y·w drops under ``head_budget`` (or ``max_periods`` is hit).
+    An edge a < 0 is never reached: the sign changes accumulate at 0.
     """
-    if a == 0.0 and y_floor == 0.0:
+    if a == 0.0:
         k_min, k_max, _ = _zero_range(alpha, 0.0, b, 4096)
         while True:
             probe = _period_probe(w_fn, alpha, a, k_max)
@@ -101,21 +97,20 @@ def _resolved_range(w_fn, alpha, a, b, y_floor, head_budget, max_periods):
                 break
             k_max = min(k_min + max_periods, k_max * 2)
         return k_min, k_max, False
-    k_min, k_max, capped = _zero_range(alpha, max(a, y_floor), b, max_periods)
-    return k_min, k_max, (not capped) and y_floor <= a
+    k_min, k_max, capped = _zero_range(alpha, a, b, max_periods)
+    return k_min, k_max, (not capped) and a > 0.0
 
 
 def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
                             head_budget: float = 1e-11,
-                            max_periods: int = 1_500_000,
-                            y_floor: float = 0.0) -> OscillatoryResult:
+                            max_periods: int = 1_500_000) -> OscillatoryResult:
     """Evaluate (G w)(x) on (a,b) for all x in xs, in ascending order of x.
 
     ``w_fn`` must accept numpy arrays and be finite on (a,b).  For a = 0 the
     resolution deepens until the probed period integral of y·w drops under
     ``head_budget`` (or ``max_periods`` is hit); for a > 0 the integral is
     resolved all the way down to a when affordable, otherwise the unresolved
-    window above a is certified like a head.  ``y_floor`` forces a cutoff.
+    window above a is certified like a head.
 
     ``a`` and ``b`` may be equal-length arrays of exhaustion edges; all
     levels then come from one pass over the deepest level's panels.  Points
@@ -129,8 +124,8 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     if xs.size and (xs[0] <= a_lv.min() or xs[-1] >= b_lv.max()):
         raise ResolutionInsufficientError("evaluation points must be interior")
 
-    ranges = [_resolved_range(w_fn, alpha, float(am), float(bm), y_floor,
-                              head_budget, max_periods)
+    ranges = [_resolved_range(w_fn, alpha, float(am), float(bm), head_budget,
+                              max_periods)
               for am, bm in zip(a_lv, b_lv)]
     counts = [max(0, k_max - k_min + 1) for k_min, k_max, _ in ranges]
     if any(counts):
@@ -143,10 +138,8 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     zeros = zeros[::-1]                 # ascending; zeros[j] sits at k = k_hi - j
 
     # each level's deepest resolved breakpoint
-    floors = np.maximum(a_lv, y_floor)
-    y_bot = np.array([
-        fl if (edge and fl > 0.0) or not c else zeros[k_hi - k_max]
-        for (_, k_max, edge), c, fl in zip(ranges, counts, floors)])
+    y_bot = np.array([am if edge or not c else zeros[k_hi - k_max]
+                      for (_, k_max, edge), c, am in zip(ranges, counts, a_lv)])
     y_bottom = float(y_bot.min())
     if xs.size and xs[0] <= y_bottom:
         raise ResolutionInsufficientError(
@@ -173,7 +166,7 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
             raise ResolutionInsufficientError("w evaluated non-finite inside (a,b)")
         return fv
 
-    vals, A, B, M0, M1 = _two_moment_levels(checked, breaks, xs, y_bot, a_lv, b_lv)
+    vals, M0, M1 = _two_moment_levels(checked, breaks, xs, y_bot, a_lv, b_lv)
 
     head = np.zeros(a_lv.size)
     alternating_ok = True
@@ -194,7 +187,6 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     eps = np.where(np.isnan(vals), np.nan, head[:, None] * (bl - xs) / (bl - al))
     periods = max(0, max(counts) - 1)
     if single:
-        return OscillatoryResult(vals[0], float(head[0]), eps[0], y_bottom,
-                                 periods, alternating_ok, A[0], B[0])
-    return OscillatoryResult(vals, head, eps, y_bottom, periods,
-                             alternating_ok, A, B)
+        return OscillatoryResult(vals[0], float(head[0]), eps[0], periods,
+                                 alternating_ok)
+    return OscillatoryResult(vals, head, eps, periods, alternating_ok)

@@ -308,12 +308,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _join_negative_pairs(argv) -> list:
+    """``--interval -1,1`` as ``--interval=-1,1``.
+
+    argparse reads a token that starts with '-' as a flag, so a pair value
+    with a negative first entry is joined to its pair flag.
+    """
+    out = []
+    for tok in argv:
+        negative_pair = tok[:1] == "-" and "," in tok
+        if negative_pair and out and _FLAGS.get(out[-1], {}).get("type") is _pair:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; a --config file's keys become the command's defaults.
 
     Config values are converted and checked like flags, and explicit flags
     win.  A key that is not a dest of the command's flags is an error.
     """
+    argv = _join_negative_pairs(sys.argv[1:] if argv is None else argv)
     parser = _Parser(prog="greenbound", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

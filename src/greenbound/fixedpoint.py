@@ -153,6 +153,11 @@ def _inverse_linear_extrapolate(s0: np.ndarray, s1: np.ndarray,
     return out
 
 
+def _not_finite_nodes(res) -> list:
+    """The first 20 interior nodes (1..n-2) where a potential is not finite."""
+    return list(np.flatnonzero(~np.isfinite(res.value.values[1:-1]))[:20] + 1)
+
+
 def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
                             tol: float | None = None, k_max: int = 10000,
                             u0: GridFn | None = None) -> IterationTrace:
@@ -185,7 +190,7 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
     if not kh.finite:
         raise PreconditionFailedError(
             "K(h^q V) is not finite; sharp condition fails",
-            nodes=list(np.flatnonzero(~kh.well_defined)[: 20]))
+            nodes=_not_finite_nodes(kh))
     ratio, ok = _sharp_condition(q, h, kh)
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -214,7 +219,7 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
         if not ku.finite:
             raise PreconditionFailedError(
                 "K(u^q V) not finite during iteration",
-                nodes=list(np.flatnonzero(~ku.well_defined)[: 20]))
+                nodes=_not_finite_nodes(ku))
         nxt = hv - ku.value.values
         return nxt, float(np.max(np.abs(vals - nxt)))
 

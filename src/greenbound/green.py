@@ -12,11 +12,14 @@ Split trapezoid weights give the masses of a smooth source, exact (up to
 rounding) whenever the integrand is piecewise linear with its only kink at
 a node.
 
-Sources that are +-inf at an endpoint are integrated against the kernel by
-splitting into positive/negative parts.  Because the kernel vanishes
-linearly at the endpoints, the boundary-panel contribution of a part
-factorizes into a scalar first moment of the source times a per-node
-kernel factor; the moment is evaluated with an open midpoint rule on
+Every Green integral (potential, improper, iterated) takes one source
+contract (:func:`_check_source`): interior values are finite, and an
+endpoint may be +-inf, or nan when an expression is attached (0·log 0,
+say), which is then probed like an infinite one.  Such sources are split
+into positive and negative parts.  Because the kernel vanishes linearly at
+the endpoints, the boundary-panel contribution of a part factorizes into
+a scalar moment of the source times a per-node kernel factor.  Every such
+moment comes from :func:`_edge_moment`, with an open midpoint rule on
 dyadically shrinking shells, every shell from one call on one node array.
 The stop and divergence rule is read off the vector of shell values: a
 part is declared to integrate to +inf when three consecutive dyadic
@@ -293,7 +296,7 @@ def _two_moment_levels(fn, breaks, xs, lo, a, b):
     every ``lo`` and ``b``.  Each level subtracts its own moments:
     A = ΔM1 - a·ΔM0 from ``lo`` (>= a) up to x, B = b·ΔM0 - ΔM1 from x up to
     b, and G f = [(b-x) A + (x-a) B]/(b-a).  Rows are levels; a point
-    outside (lo_m, b_m) reads NaN.  Returns (values, A, B, M0, M1).
+    outside (lo_m, b_m) reads NaN.  Returns (values, M0, M1).
     """
     m0, m1 = _panel_moments(fn, breaks[:-1], breaks[1:])
     M0 = np.concatenate([[0.0], np.cumsum(m0)])
@@ -305,34 +308,63 @@ def _two_moment_levels(fn, breaks, xs, lo, a, b):
     A = (M1[ix] - M1[i_lo]) - al * (M0[ix] - M0[i_lo])
     B = bl * (M0[i_hi] - M0[ix]) - (M1[i_hi] - M1[ix])
     vals = ((bl - xs) * A + (xs - al) * B) / (bl - al)
-    outside = ~((xs > lo[:, None]) & (xs < bl))
-    for arr in (vals, A, B):
-        arr[outside] = np.nan
-    return vals, A, B, M0, M1
+    vals[~((xs > lo[:, None]) & (xs < bl))] = np.nan
+    return vals, M0, M1
 
 
-def _integrate_part(kernel: Kernel, grid: Grid,
-                    pvals: np.ndarray, pfn, left_bad: bool, right_bad: bool):
-    """Potential of one nonnegative part with singular boundary panels.
+def _check_source(f: GridFn) -> None:
+    """The source contract of every Green integral (see the module docstring)."""
+    vals = f.values
+    if np.isnan(vals).any() and (f.fn is None or np.isnan(vals[1:-1]).any()):
+        raise NotIntegrableError("nan values are not integrable")
+    if not np.all(np.isfinite(vals[1:-1])):
+        raise NotIntegrableError("interior values must be finite")
 
-    The trapezoid core, the boundary shell moments and the Gauss panels
-    become point masses at nodes, summed by one kernel application.
+
+def _edge_moment(f: GridFn, sign: int, inward: int, weight_exponent: int = 1):
+    """∫ d^e max(sign·f, 0) over the boundary panel at one endpoint.
+
+    d is the distance from the endpoint (inward = 1 left, -1 right) and e is
+    ``weight_exponent``.  The part's edge source goes through
+    :func:`_singular_panel_moment`.  Returns (moment, diverged).
+    """
+    source = _edge_source(_part_fn(f.fn, sign), np.maximum(sign * f.values, 0.0),
+                          f.grid, inward)
+    return _singular_panel_moment(f.grid.spacing, source, weight_exponent)
+
+
+def _integrate_part(kernel: Kernel, f: GridFn, sign: int):
+    """Potential of the part max(sign·f, 0), with singular boundary panels.
+
+    An end is singular where the part is +inf.  With an attached expression
+    a non-finite end is probed for both parts (a sign-oscillating
+    singularity can make both diverge); a part that vanishes there adds a
+    zero moment.  The trapezoid core, the boundary shell moments and the
+    Gauss panels become point masses at nodes, summed by one kernel
+    application.
 
     Returns (values at all nodes, diverged); a diverged part reads +inf.
     """
+    grid = f.grid
     n = grid.n
     dx = grid.spacing
     a = grid.interval.left
+    part = np.maximum(sign * f.values, 0.0)
+    ends = f.values[[0, -1]]
+    bad = np.isposinf(part[[0, -1]]) | (~np.isfinite(ends) & (f.fn is not None))
+    if not (bad.any() or np.any(part > 0)):
+        return np.zeros(n), False
+    pfn = _part_fn(f.fn, sign)
     r_max = 1 if pfn is None else int(min(REFINE_PANELS, max(1, (n - 1) // 3)))
-    r_left, r_right = r_max * left_bad, r_max * right_bad
+    r_left, r_right = r_max * bad
     j_lo, j_hi = r_left, n - 1 - r_right
 
     mass = np.zeros(n)
-    mass[j_lo:j_hi + 1] = pvals[j_lo:j_hi + 1] * _trap_weights(j_hi - j_lo + 1, dx)
+    mass[j_lo:j_hi + 1] = part[j_lo:j_hi + 1] * _trap_weights(j_hi - j_lo + 1, dx)
     for r, inward in ((r_left, 1), (r_right, -1)):
         if not r:
             continue
-        m0, diverged = _singular_panel_moment(dx, _edge_source(pfn, pvals, grid, inward))
+        m0, diverged = _edge_moment(f, sign, inward)
         if diverged:
             return np.full(n, np.inf), True
         mass[1 if inward > 0 else n - 2] += m0 / dx
@@ -348,59 +380,27 @@ def _integrate_part(kernel: Kernel, grid: Grid,
 def potential(kernel: Kernel, f: GridFn) -> PotentialResult:
     """Green potential (G f)(x_i) = ∫ G(x_i,y) f(y) dy at every node.
 
-    f may be signed and may be +-inf at the endpoints (integrably singular
-    sources), or nan there when an expression is attached (0·log 0, say):
-    such an endpoint is probed through the expression like an infinite
-    one.  Interior values must be finite.  Undefinedness -- both the
-    positive and the negative part integrating to +inf -- is reported per
-    node in the result status, never raised.
+    f meets the module's source contract: it may be signed and +-inf at the
+    endpoints, or nan there with an attached expression.  Undefinedness --
+    both the positive and the negative part integrating to +inf -- is
+    reported per node in the result status, never raised.
     """
     grid = f.grid
     kernel._check_grid(grid)
+    _check_source(f)
     vals = f.values
     n = grid.n
-    if np.isnan(vals).any() and (f.fn is None or np.isnan(vals[1:-1]).any()):
-        raise NotIntegrableError("nan values are not integrable")
-    if not np.all(np.isfinite(vals[1:-1])):
-        raise NotIntegrableError("interior values must be finite")
-
+    well = np.ones(n, bool)
     if np.isfinite(vals[0]) and np.isfinite(vals[-1]):
         out = kernel.apply(grid, vals * _trap_weights(n, grid.spacing))
-        out[0] = out[-1] = 0.0
-        return PotentialResult(GridFn(grid, out), np.ones(n, bool), False, False)
-
-    fin = np.isfinite(vals)
-    pos_vals = np.where(fin, np.maximum(vals, 0.0), np.where(vals > 0, np.inf, 0.0))
-    neg_vals = np.where(fin, np.maximum(-vals, 0.0), np.where(vals < 0, np.inf, 0.0))
-    # with an attached expression a non-finite endpoint is probed for both
-    # parts (a sign-oscillating singularity can make both diverge); a part
-    # that actually vanishes there just contributes a zero moment
-    probe_left = not np.isfinite(vals[0]) and f.fn is not None
-    probe_right = not np.isfinite(vals[-1]) and f.fn is not None
-
-    def run(part_vals, sign):
-        if not np.any(part_vals > 0) and not (probe_left or probe_right):
-            return np.zeros(n), False
-        return _integrate_part(
-            kernel, grid, np.where(np.isfinite(part_vals), part_vals, 0.0),
-            _part_fn(f.fn, sign),
-            bool(np.isposinf(part_vals[0])) or probe_left,
-            bool(np.isposinf(part_vals[-1])) or probe_right)
-
-    pos_vec, plus_inf = run(pos_vals, +1)
-    neg_vec, minus_inf = run(neg_vals, -1)
-
-    out = np.empty(n)
-    well = np.ones(n, bool)
-    if plus_inf and minus_inf:
-        out[:] = np.nan
-        well[1:-1] = False
-    elif plus_inf:
-        out[:] = np.inf
-    elif minus_inf:
-        out[:] = -np.inf
+        plus_inf = minus_inf = False
     else:
-        out[:] = pos_vec - neg_vec
+        pos_vec, plus_inf = _integrate_part(kernel, f, +1)
+        neg_vec, minus_inf = _integrate_part(kernel, f, -1)
+        undefined = plus_inf and minus_inf
+        # inf - inf would be a nan with its sign bit set
+        out = np.full(n, np.nan) if undefined else pos_vec - neg_vec
+        well[1:-1] = not undefined
     out[0] = out[-1] = 0.0
     return PotentialResult(GridFn(grid, out), well, plus_inf, minus_inf)
 
@@ -484,8 +484,11 @@ def potential_improper(kernel: Kernel, f: GridFn, levels: int = 20) -> ImproperP
 
 def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
                           levels: int = 20) -> list[float]:
-    """Exhaustion sequence of the improper potential at a single point."""
+    """Exhaustion sequence of the improper potential at a single point.
+
+    f meets the module's source contract."""
     kernel._check_grid(f.grid)
+    _check_source(f)
     seq, _ = _exhaustion(f, np.array([float(x)]), levels)
     out = [float(v) for v in seq[:, 0] if not np.isnan(v)]
     if not out:
@@ -493,37 +496,22 @@ def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
     return out
 
 
-def _signed_edge_moment(V: GridFn, inward: int, weight_exponent: int):
-    """Signed boundary moment ∫ d^e V for the panel next to one endpoint."""
-    total = 0.0
-    for sign in (+1, -1):
-        edge_eval = _edge_source(_part_fn(V.fn, sign), np.maximum(sign * V.values, 0.0),
-                                 V.grid, inward)
-        m, div = _singular_panel_moment(V.grid.spacing, edge_eval, weight_exponent)
-        if div:
-            side = "left" if inward > 0 else "right"
-            raise NotIntegrableError(
-                f"iterated kernel integrand not integrable near {side} endpoint")
-        total += sign * m
-    return total
-
-
 def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float) -> float:
     """Second kernel iteration ∫ G(x,z) G(z,y) V(z) dz.
 
-    Split trapezoid with breakpoints at both kernel kinks.  Endpoint-singular
-    V is handled by quadratic-weight moments on the boundary panels (the
-    kernel product vanishes quadratically there); raises NotIntegrableError
-    when a panel moment diverges.
+    Split trapezoid with breakpoints at both kernel kinks.  V meets the
+    module's source contract; an endpoint-singular V is handled by
+    quadratic-weight moments on the boundary panels (the kernel product
+    vanishes quadratically there); raises NotIntegrableError when a panel
+    moment diverges.
     """
     grid = V.grid
     kernel._check_grid(grid)
     if not (grid.interval.contains(x, closed=False)
             and grid.interval.contains(y, closed=False)):
         raise DomainError("iterated kernel needs interior x, y")
+    _check_source(V)
     vals = V.values
-    if not np.all(np.isfinite(vals[1:-1])):
-        raise NotIntegrableError("interior V values must be finite")
     a, b = grid.interval.left, grid.interval.right
     L = b - a
     dx = grid.spacing
@@ -551,7 +539,13 @@ def iterated_kernel(kernel: Kernel, V: GridFn, x: float, y: float) -> float:
 
     for bad, inward, weight in ((left_bad, 1, (b - x) * (b - y)),
                                 (right_bad, -1, (x - a) * (y - a))):
-        if bad:
-            total += weight / L ** 2 * _signed_edge_moment(V, inward, 2)
+        if not bad:
+            continue
+        (plus, up), (minus, down) = (_edge_moment(V, sign, inward, 2) for sign in (1, -1))
+        if up or down:
+            side = "left" if inward > 0 else "right"
+            raise NotIntegrableError(
+                f"iterated kernel integrand not integrable near {side} endpoint")
+        total += weight / L ** 2 * (plus - minus)
     return total
 

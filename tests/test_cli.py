@@ -467,3 +467,28 @@ def test_readme_flag_table_matches_the_commands():
                   for sid, params in re.findall(r"(ex\d) ((?:`--\w+` \([^)]*\),? ?)+)",
                                                 rows["scenario"])}
     assert documented == {sid: defaults for sid, (_, defaults) in SCENARIOS.items()}
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (("bound", "--q", "2", "--V", "constant:-1", "--grid-n", "101"), "--interval", "-1,1"),
+    (("solve-bvp", "--q", "2", "--V", "constant:-1", "--grid-n", "101"),
+     "--boundary", "-0.5,0"),
+])
+def test_negative_pair_parses_as_a_separate_token(tmp_path, capsys, argv, flag, value):
+    written = []
+    for i, spelling in enumerate(((flag, value), (f"{flag}={value}",))):
+        out, summary = tmp_path / f"t{i}.csv", tmp_path / f"s{i}.json"
+        code, _, err = run(capsys, *argv, *spelling, "--out", str(out),
+                           "--summary", str(summary))
+        assert code == 0, err
+        written.append((out.read_bytes(), summary.read_bytes()))
+    assert written[0] == written[1]
+
+
+def test_infinite_weight_potential_names_its_nodes(capsys):
+    # V = d^{-3} makes K(h^{-1} V) = +inf at every interior node
+    code, _, err = run(capsys, "solve-integral", "--q", "-1", "--grid-n", "101",
+                       "--V", "power-distance:1,3")
+    assert code == 1
+    assert "K(h^q V) is not finite" in err
+    assert err.strip().endswith(f"(nodes {list(range(1, 11))})")

@@ -158,6 +158,45 @@ def test_nan_endpoint_with_an_expression_is_probed():
         potential(k, GridFn(grid, vals, fn=lambda x: 1.0))
 
 
+def _contract_source(grid, case):
+    if case == "nan endpoint with an expression":
+        return sample(lambda x: x * np.log(x), grid)
+    idx, value, fn = {
+        "interior inf": (100, np.inf, None),
+        "interior nan": (100, np.nan, None),
+        "interior nan with an expression": (100, np.nan, lambda x: 1.0 + 0.0 * x),
+        "value-only nan endpoint": (0, np.nan, None),
+        "+-inf endpoints": ([0, -1], [np.inf, -np.inf], None),
+    }[case]
+    vals = np.ones(grid.n)
+    vals[idx] = value
+    return GridFn(grid, vals, fn=fn)
+
+
+@pytest.mark.parametrize("case,refusal", [
+    ("interior inf", "interior values must be finite"),
+    ("interior nan", "nan values are not integrable"),
+    ("interior nan with an expression", "nan values are not integrable"),
+    ("value-only nan endpoint", "nan values are not integrable"),
+    ("nan endpoint with an expression", None),
+    ("+-inf endpoints", None),
+])
+def test_green_integrals_share_one_source_contract(unit, case, refusal):
+    """Every Green integral accepts or refuses a source alike."""
+    grid, k = unit
+    f = _contract_source(grid, case)
+    calls = [lambda: potential(k, f),
+             lambda: potential_improper(k, f, levels=4),
+             lambda: improper_potential_at(k, f, 0.5, levels=4),
+             lambda: iterated_kernel(k, f, 0.3, 0.6)]
+    for call in calls:
+        if refusal is None:
+            call()
+        else:
+            with pytest.raises(NotIntegrableError, match=refusal):
+                call()
+
+
 def test_power_product_endpoint_markers(unit):
     grid, k = unit
     h = potential(k, sample(lambda x: 1.0, grid)).value
@@ -315,6 +354,33 @@ def test_benchmark_improper_ops_fail_only_with_known_defects(tmp_path, monkeypat
             assert load.execute(op) in known | {None}, op
         op = workloads.Op("improper_full", {"beta": float(beta)})
         assert load.execute(op) in known | {None}, op
+
+
+@pytest.mark.parametrize("seed", [3101, 3102])
+def test_benchmark_singular_ops_fail_only_with_known_defects(tmp_path, monkeypatch, seed):
+    """perfbench's power, sign_changing and iterated ops of one seeded cycle.
+
+    These ops reach every boundary-panel moment.  A result other than None
+    or a known defect counts as an unexpected failure of the singular_edges
+    workload.
+    """
+    from pathlib import Path
+
+    import greenbound
+    from perfbench.tracer import Tracer
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    load = workloads.SingularEdges(greenbound, Tracer(), tmp_path)
+    rng = np.random.default_rng(seed)
+    load.setup(rng)
+    known = set(workloads.O.KNOWN_DEFECTS) | {None}
+    kinds = {"power", "sign_changing", "iterated"}
+    ops = [op for op in load.cycle(rng) if op.kind in kinds]
+    assert {op.kind for op in ops} == kinds
+    for op in ops:
+        assert load.execute(op) in known, op
 
 
 def test_iterated_kernel_needs_interior_points(unit):
