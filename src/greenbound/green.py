@@ -19,20 +19,21 @@ say), which is then probed like an infinite one.  Such sources are split
 into positive and negative parts.  Because the kernel vanishes linearly at
 the endpoints, the boundary-panel contribution of a part factorizes into
 a scalar moment of the source times a per-node kernel factor.  Every such
-moment comes from :func:`_edge_moment`, with an open midpoint rule on
-dyadically shrinking shells, every shell from one call on one node array.
-The stop and divergence rule is read off the vector of shell values: a
-part is declared to integrate to +inf when three consecutive dyadic
-refinements of that panel keep growing without slowing (successive
-increment ratio >= 0.9); this is the numerical surrogate for
-non-integrability used throughout the package.
-
-When the singular source carries an attached expression, the panels next
-to the refined one are integrated with per-panel Gauss-Legendre instead of
+moment comes from :func:`_edge_moment`.  Value-only data take the exact
+moment of the power law fitted through the two innermost interior nodes;
+the part reads +inf when the fitted exponent is within the shell rule's
+margin of the threshold, unless a third node fits a steepening power law
+whose exponent, extrapolated to the endpoint, stays below the threshold by
+more than its uncertainty.  What is left of their error is the trapezoid
+core's O(dx^{2-s}) term.  An attached expression is integrated with an
+open midpoint rule on dyadically shrinking shells, every shell from one
+call on one node array, and the stop and divergence rule is read off the
+vector of shell values: the part is declared to integrate to +inf when
+three consecutive dyadic refinements of that panel keep growing without
+slowing (successive increment ratio >= 0.9).  The panels next to the
+refined one are then integrated with per-panel Gauss-Legendre instead of
 the trapezoid rule (the kernel is linear in y on each panel, so only two
 scalar moments per panel are needed, as masses at its end nodes).
-Value-only sources fall back to a power-law extrapolation through the two
-innermost interior nodes on the first panel alone.
 
 Improper potentials take the proper value wherever it is well defined
 (G^{Ω_m} increases to G); every level of the exhaustion Ω_m is read off two
@@ -183,30 +184,8 @@ def _part_fn(fn, sign: int):
     return lambda y: np.maximum(-vfn(y), 0.0)
 
 
-def _power_extrapolator(f1: float, f2: float, dx: float):
-    """Power-law model c*d^{-s} through the two innermost interior values.
-
-    d is the distance from the singular endpoint; f1 = f(dx), f2 = f(2 dx).
-    Falls back to zero/constant when the data do not support a power fit.
-    """
-    if not np.isfinite(f1) or f1 <= 0.0:
-        return lambda d: np.zeros_like(np.asarray(d, dtype=float))
-    if not np.isfinite(f2) or f2 <= 0.0:
-        return lambda d: np.full_like(np.asarray(d, dtype=float), f1)
-    s = float(np.clip(np.log2(f1 / f2), -8.0, 8.0))
-    return lambda d: f1 * (np.asarray(d, dtype=float) / dx) ** (-s)
-
-
-def _edge_source(pfn, pvals: np.ndarray, grid: Grid, inward: int):
-    """Nonnegative part at distance d from one endpoint (inward = 1 left, -1 right).
-
-    Its expression when attached, else a power law through the two
-    innermost interior nodes.
-    """
-    if pfn is None:
-        node = 1 if inward > 0 else grid.n - 2
-        return _power_extrapolator(float(pvals[node]), float(pvals[node + inward]),
-                                   grid.spacing)
+def _edge_source(pfn, grid: Grid, inward: int):
+    """Attached part at distance d from one endpoint (inward = 1 left, -1 right)."""
     edge = grid.interval.left if inward > 0 else grid.interval.right
 
     def source(d):
@@ -325,12 +304,37 @@ def _edge_moment(f: GridFn, sign: int, inward: int, weight_exponent: int = 1):
     """∫ d^e max(sign·f, 0) over the boundary panel at one endpoint.
 
     d is the distance from the endpoint (inward = 1 left, -1 right) and e is
-    ``weight_exponent``.  The part's edge source goes through
-    :func:`_singular_panel_moment`.  Returns (moment, diverged).
+    ``weight_exponent``.  An attached expression goes through
+    :func:`_singular_panel_moment`.  Value-only data take the power law
+    f1·(d/dx)^{-s} through f1 = f(dx) and f2 = f(2dx), s = log2(f1/f2)
+    clipped to [-8, 8] (0 unless f2 > 0 is finite), whose moment is exactly
+    f1·dx^{e+1}/(e+1-s).  The part reads +inf when s reaches the shell
+    rule's threshold e+1+log2(DIVERGENCE_RATIO), unless a third node
+    f4 = f(4dx) in the endpoint's half of the interval continues a
+    steepening power law (f2 >= f4 > 0) and clears it: the exponent
+    2s - s24 extrapolated to d -> 0, s24 = log2(f2/f4), stays below e+1 by
+    more than its uncertainty |s - s24|.  Returns (moment, diverged).
     """
-    source = _edge_source(_part_fn(f.fn, sign), np.maximum(sign * f.values, 0.0),
-                          f.grid, inward)
-    return _singular_panel_moment(f.grid.spacing, source, weight_exponent)
+    grid = f.grid
+    pfn = _part_fn(f.fn, sign)
+    if pfn is not None:
+        return _singular_panel_moment(grid.spacing, _edge_source(pfn, grid, inward),
+                                      weight_exponent)
+    part = np.maximum(sign * f.values[::inward][:5], 0.0)     # from the edge inward
+    f1, f2, f4 = part[1], part[2], part[4] if grid.n >= 9 else 0.0
+    if not (np.isfinite(f1) and f1 > 0.0):
+        return 0.0, False
+    s, e1 = 0.0, weight_exponent + 1
+    with np.errstate(divide="ignore", over="ignore"):
+        if np.isfinite(f2) and f2 > 0.0:
+            s = float(np.clip(np.log2(f1 / f2), -8.0, 8.0))
+        diverged = s >= e1 + np.log2(DIVERGENCE_RATIO)
+        if diverged and f2 >= f4 > 0.0:
+            s24 = float(np.log2(f2 / f4))
+            diverged = max(s, 2.0 * s - s24) + abs(s - s24) >= e1
+    if diverged:
+        return np.inf, True
+    return float(f1 * grid.spacing ** e1 / (e1 - s)), False
 
 
 def _integrate_part(kernel: Kernel, f: GridFn, sign: int):
@@ -339,7 +343,7 @@ def _integrate_part(kernel: Kernel, f: GridFn, sign: int):
     An end is singular where the part is +inf.  With an attached expression
     a non-finite end is probed for both parts (a sign-oscillating
     singularity can make both diverge); a part that vanishes there adds a
-    zero moment.  The trapezoid core, the boundary shell moments and the
+    zero moment.  The trapezoid core, the boundary-panel moments and the
     Gauss panels become point masses at nodes, summed by one kernel
     application.
 

@@ -61,6 +61,14 @@ def test_bound_bracket_violation_exit_code(capsys):
     assert "bracket violation" in err
 
 
+def test_bound_value_only_weight_below_the_threshold_is_finite(capsys):
+    """h^q V ~ d^{-1.9} at the ends: the bracket is finite, and fails."""
+    code, out, _ = run(capsys, "bound", "--q", "-0.5", "--V", "power-distance:0.01,1.4",
+                       "--grid-n", "401")
+    assert code == 1
+    assert json.loads(out)["min_bracket"] == pytest.approx(-102.6, abs=0.05)
+
+
 def test_malformed_config_exit_code(capsys):
     code, _, err = run(capsys, "bound", "--grid-n", "101")
     assert code == 3

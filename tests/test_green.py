@@ -518,16 +518,11 @@ def _shell_by_shell_moment(dx, eval_from_edge, weight_exponent=1):
 
 
 def _edge_sources(grid, beta):
-    d = np.minimum(grid.nodes - grid.interval.left, grid.interval.right - grid.nodes)
-    with np.errstate(divide="ignore"):
-        vals = d ** -beta
     return [
-        green._edge_source(None, vals, grid, 1),
-        green._edge_source(None, vals, grid, -1),
-        green._edge_source(green._part_fn(lambda x: x ** -beta, 1), vals, grid, 1),
-        green._edge_source(green._part_fn(lambda x: (1.0 - x) ** -beta, 1), vals, grid, -1),
+        green._edge_source(green._part_fn(lambda x: x ** -beta, 1), grid, 1),
+        green._edge_source(green._part_fn(lambda x: (1.0 - x) ** -beta, 1), grid, -1),
         green._edge_source(green._part_fn(
-            lambda x: (1.0 - x) ** -beta * np.sin(1.0 / (1.0 - x)), -1), vals, grid, -1),
+            lambda x: (1.0 - x) ** -beta * np.sin(1.0 / (1.0 - x)), -1), grid, -1),
     ]
 
 
@@ -540,7 +535,7 @@ def test_shell_stack_matches_shell_by_shell_loop():
                 got = green._singular_panel_moment(dx, src, weight)
                 assert got == _shell_by_shell_moment(dx, src, weight), (beta, weight)
     # a source that diverges within the first shells
-    early = green._edge_source(green._part_fn(lambda x: x ** -6.0, 1), None, grid, 1)
+    early = green._edge_source(green._part_fn(lambda x: x ** -6.0, 1), grid, 1)
     assert green._singular_panel_moment(dx, early, 1) == (np.inf, True)
     assert _shell_by_shell_moment(dx, early, 1) == (np.inf, True)
 
@@ -557,12 +552,154 @@ def test_attached_expression_called_once_per_edge_and_part():
     f = sample(expr, grid)
     sizes.clear()
     green._singular_panel_moment(grid.spacing,
-                                 green._edge_source(green._part_fn(expr, 1), None, grid, -1))
+                                 green._edge_source(green._part_fn(expr, 1), grid, -1))
     assert len(sizes) == 1
     sizes.clear()
     assert potential(k, f).finite
     # two parts x two probed edges x (one shell stack + one batch of Gauss panels)
     assert len(sizes) == 8
+
+
+def _value_only_power(grid, beta):
+    """min(x-a, b-x)^{-beta} on the nodes, distances exact multiples of dx."""
+    i = np.arange(grid.n)
+    with np.errstate(divide="ignore"):
+        return GridFn(grid, (np.minimum(i, grid.n - 1 - i) * grid.spacing) ** -beta)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_value_only_edge_moment_is_the_exact_power_moment(e):
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    dx = grid.spacing
+    for beta in (0.2, 0.5, 1.0, 1.5, 1.8, 1.95):
+        f = _value_only_power(grid, beta)
+        for inward in (1, -1):
+            want = f.values[1] * dx ** (e + 1) / (e + 1 - beta)
+            got, diverged = green._edge_moment(f, 1, inward, e)
+            assert not diverged
+            assert got == pytest.approx(want, rel=1e-14), (beta, inward)
+            assert green._edge_moment(f, -1, inward, e) == (0.0, False)
+    for beta in (e + 1.0, e + 1.3):
+        for inward in (1, -1):
+            assert green._edge_moment(_value_only_power(grid, beta), 1, inward, e) \
+                == (np.inf, True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_value_only_edge_moment_on_small_grids(n):
+    """The fit nodes 2 and 4 may be an endpoint or past the midpoint.
+
+    For n <= 4 node 2 is the far endpoint or sees the other edge, so the
+    fit is the constant model.  The third node is read only when it lies in
+    the endpoint's half (n >= 9), so the fold of min(x, 1-x) never reads as
+    a steepening exponent; without it the verdict keeps the shell rule's
+    margin, and d^{-1.9} reads +inf.
+    """
+    grid = make_grid(Interval(0.0, 1.0), n)
+    dx = grid.spacing
+    margin = 0.0 if n >= 9 else math.log2(green.DIVERGENCE_RATIO)
+    for beta in (0.0, 0.5, 1.0, 1.5, 1.9, 2.5):
+        vals = _value_only_power(grid, beta).values.copy()
+        vals[[0, -1]] = np.inf
+        f = GridFn(grid, vals)
+        s = beta if n >= 5 else 0.0
+        for inward in (1, -1):
+            for e in (1, 2):
+                got, diverged = green._edge_moment(f, 1, inward, e)
+                assert diverged == (s >= e + 1 + margin), (beta, inward, e)
+                if not diverged:
+                    assert got == pytest.approx(f.values[1] * dx ** (e + 1) / (e + 1 - s))
+        assert potential(Kernel.closed_form(grid.interval), f).plus_infinite \
+            == (s >= 2.0 + margin)
+
+
+@pytest.mark.parametrize("n", [17, 401, 2001])
+def test_value_only_threshold_source_with_a_correction_diverges(n):
+    """d^{-e-1}(1 + d) does not integrate, though its fitted exponent is below e+1.
+
+    The exponent extrapolated through three nodes misses e+1 by O(dx^2);
+    its uncertainty |s - s24| = O(dx) keeps the verdict +inf.
+    """
+    grid = make_grid(Interval(0.0, 1.0), n)
+    k = Kernel.closed_form(grid.interval)
+    d = grid.boundary_distance()
+    with np.errstate(divide="ignore"):
+        assert potential(k, GridFn(grid, d ** -2.0 + d ** -1.0)).plus_infinite
+        with pytest.raises(NotIntegrableError):
+            iterated_kernel(k, GridFn(grid, d ** -3.0 + d ** -2.0), 0.3, 0.6)
+
+
+def test_value_only_verdict_never_diverges_below_the_shell_margin():
+    """The third node only clears a +inf read by the two-node margin rule.
+
+    Sources oscillating at the grid scale give triples f(dx), f(2dx), f(4dx)
+    that no power law fits; they must not read +inf where the two-node fit
+    with the shell rule's margin reads finite.
+    """
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    vals = np.ones(grid.n)
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        vals[1:5] = np.exp(rng.uniform(-2.0, 2.0, 4))
+        f = GridFn(grid, vals)
+        s = math.log2(vals[1] / vals[2])
+        for e in (1, 2):
+            if green._edge_moment(f, 1, 1, e)[1]:
+                assert s >= e + 1 + math.log2(green.DIVERGENCE_RATIO)
+    # d^{-1/2}(1.01 + sin(w/d)), w = 0.0032: f(dx), f(2dx), f(4dx) = 51.8, 29.6, 44.9
+    d = grid.boundary_distance()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = GridFn(grid, np.where(d > 0.0, d ** -0.5 * (1.01 + np.sin(0.0032 / d)), np.inf))
+    assert potential(Kernel.closed_form(grid.interval), f).finite
+
+
+def test_value_only_sources_never_reach_the_shell_stack(monkeypatch):
+    from greenbound import sharp_constants, solve_integral_equation
+
+    def shell_stack(*args, **kwargs):
+        raise AssertionError("shell stack called on value-only data")
+
+    monkeypatch.setattr(green, "_singular_panel_moment", shell_stack)
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    k = Kernel.closed_form(grid.interval)
+    h = potential(k, sample(lambda x: 1.0, grid)).value
+    for q in (-1.0, 2.0):
+        c = 0.9 * sharp_constants(q)[0]
+        with np.errstate(divide="ignore"):
+            V = GridFn(grid, (c if q < 0 else -c) * h.values ** (-q))
+        assert solve_integral_equation(k, h, V, q).converged
+    V = _value_only_power(grid, 2.5)
+    assert math.isfinite(iterated_kernel(k, V, 0.3, 0.6))
+
+
+@pytest.mark.parametrize("beta", [1.85, 1.9, 1.95, 1.99, 2.0])
+def test_value_only_potential_below_the_threshold(beta):
+    """The closed-form moment reads d^{-beta}, beta < 2, as finite."""
+    from perfbench.oracles import power_source_potential
+
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    res = potential(Kernel.closed_form(grid.interval), _value_only_power(grid, beta))
+    got = res.value.values[grid.n // 2]
+    if beta >= 2.0:
+        assert res.plus_infinite and np.isposinf(got)
+    else:
+        assert res.finite
+        assert got == pytest.approx(power_source_potential(0.5, beta, "two"), rel=5e-3)
+
+
+@pytest.mark.parametrize("beta", [2.85, 2.9, 2.95, 3.0])
+def test_value_only_iterated_kernel_below_the_threshold(beta):
+    from perfbench.oracles import iterated_power_kernel
+
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    k = Kernel.closed_form(grid.interval)
+    V = _value_only_power(grid, beta)
+    if beta >= 3.0:
+        with pytest.raises(NotIntegrableError):
+            iterated_kernel(k, V, 0.3, 0.6)
+    else:
+        got = iterated_kernel(k, V, 0.3, 0.6)
+        assert got == pytest.approx(iterated_power_kernel(0.3, 0.6, beta), rel=5e-3)
 
 
 def test_scalar_expression_never_evaluated_at_the_endpoint():
