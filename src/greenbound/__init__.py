@@ -7,8 +7,8 @@ finite-difference Newton oracle, and ships scenario generators for the
 oscillatory, distance-power and power-profile model problems.
 """
 
-from .domain import (Grid, GridFn, Interval, make_grid, quad_trapezoid_split,
-                     read_gridfn_csv, sample, write_gridfn_csv)
+from .domain import (Grid, GridFn, Interval, make_grid, read_gridfn_csv,
+                     sample, write_gridfn_csv)
 from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
                      DomainError, GreenboundError, InfeasibleStartError,
                      InvalidGridError, InvalidHError, InvalidScenarioError,
@@ -16,8 +16,8 @@ from .errors import (ConfigError, DegenerateSourceError, DivergingBracketError,
                      PreconditionFailedError, ResolutionInsufficientError,
                      SolverFailureError, WindowTooSmallError)
 from .green import (ImproperPotential, Kernel, PotentialResult,
-                    improper_potential_at, iterated_kernel, kernel_eval,
-                    potential, potential_improper, power_product)
+                    improper_potential_at, iterated_kernel, potential,
+                    potential_improper, power_product)
 from .phi import PhiFamily, phi_derivs, phi_eval, phi_inverse
 from .estimates import (BoundReport, Problem, thm1_bound, thm2_bound,
                         thm3_bound, thm4_conditions, unified_bound)

@@ -1,9 +1,8 @@
-"""Intervals, uniform grids, grid functions, and trapezoid quadrature.
+"""Intervals, uniform grids, grid functions, and trapezoid weights.
 
 Values on grids are extended reals: finite floats, ``+inf`` or ``-inf``.
 Arithmetic that would produce an ``inf - inf`` ambiguity is never performed
-silently here; operations that require finiteness raise
-:class:`~greenbound.errors.NotIntegrableError` instead.
+here; the Green integrals that need finiteness check it themselves.
 
 All types are immutable values after construction and all operations are
 pure, so everything in this module is safe to share between threads.
@@ -20,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidGridError, NotIntegrableError
+from .errors import InvalidGridError
 
 __all__ = [
     "Interval",
@@ -28,7 +27,6 @@ __all__ = [
     "GridFn",
     "make_grid",
     "sample",
-    "quad_trapezoid_split",
     "read_gridfn_csv",
     "write_gridfn_csv",
 ]
@@ -156,25 +154,6 @@ def _trap_weights(n: int, dx: float) -> np.ndarray:
     w = np.full(n, dx)
     w[0] = w[-1] = dx / 2.0
     return w
-
-
-def quad_trapezoid_split(f: GridFn, split_index: int) -> float:
-    """Composite trapezoid of f over its interval, split at a node.
-
-    The two sides of ``split_index`` are summed separately so a slope
-    discontinuity at the split node costs no accuracy (each side sees a
-    piecewise-linear integrand panel-by-panel).
-    """
-    vals = f.values
-    if not np.all(np.isfinite(vals)):
-        raise NotIntegrableError("trapezoid rule needs finite values everywhere")
-    n = f.grid.n
-    if not 0 <= split_index < n:
-        raise InvalidGridError(f"split index {split_index} outside 0..{n - 1}")
-    dx = f.grid.spacing
-    left = np.trapezoid(vals[: split_index + 1], dx=dx) if split_index > 0 else 0.0
-    right = np.trapezoid(vals[split_index:], dx=dx) if split_index < n - 1 else 0.0
-    return float(left + right)
 
 
 def laplacian_1d(vals: np.ndarray, dx: float) -> np.ndarray:

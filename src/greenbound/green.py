@@ -55,7 +55,6 @@ __all__ = [
     "Kernel",
     "PotentialResult",
     "ImproperPotential",
-    "kernel_eval",
     "potential",
     "potential_improper",
     "improper_potential_at",
@@ -142,10 +141,6 @@ class Kernel:
         mat = np.minimum((X - a) * (b - Y), (Y - a) * (b - X)) / (b - a)
         np.clip(mat, 0.0, None, out=mat)
         return mat
-
-
-def kernel_eval(kernel: Kernel, x: float, y: float) -> float:
-    return kernel.eval(x, y)
 
 
 @dataclass(frozen=True)

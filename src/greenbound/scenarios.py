@@ -303,6 +303,7 @@ class Ex1CancellationReport:
     curve_ratio: np.ndarray | None = None
     alternating_ok: bool | None = None
     periods: int | None = None
+    head_budget_met: bool | None = None
 
     def curves_to_csv(self, path) -> None:
         if self.curve_x is not None:
@@ -321,6 +322,8 @@ class Ex1CancellationReport:
         if self.periods is not None:
             out["alternating_ok"] = self.alternating_ok
             out["periods"] = self.periods
+        if self.head_budget_met is not None:
+            out["head_budget_met"] = self.head_budget_met
         if self.sup_ratio is not None:
             out["sup_ratio"] = self.sup_ratio
             out["sup_ratio_refined"] = self.sup_ratio_refined
@@ -361,7 +364,12 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     alpha < 1: evaluates G(hV)/h in one oscillatory pass at a doubled node
     set, whose every other node is a grid node, so the sup over the window
     x <= 1/2 on both node sets gives a stability ratio; also reports the
-    worst margin of u against the q = 1 lower bound h e^{-G(hV)/h}.
+    worst margin of u against the q = 1 lower bound h e^{-G(hV)/h}.  The
+    head of G(hV) below the resolved sign changes is summed by series
+    acceleration (see :mod:`greenbound._oscillate`);
+    ``certified_remainder`` is the error bound of that sum, and
+    ``head_budget_met`` says whether it met EX1_HEAD_BUDGET within
+    ``max_periods``.
 
     alpha = 1: G(hV) exists only as an improper integral; its exhaustion
     sequence over (δ_m, 1-δ_m), δ_m = 2^{-m-2}, m = levels[0]..levels[1],
@@ -371,9 +379,9 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     deepest level's panels (see :mod:`greenbound._oscillate`); a probe
     outside a level reads NaN in that level's entry of the sequence.
 
-    Both modes report whether the oscillatory head certificate's
-    alternation check held (``alternating_ok``) and how many sign
-    intervals were resolved (``periods``).
+    Both modes report whether the alternation check behind the head
+    certificate held (``alternating_ok``) and how many sign intervals were
+    resolved (``periods``).
     """
     if not 0 < alpha <= 1:
         raise InvalidScenarioError("cancellation check covers 0 < alpha <= 1")
@@ -400,6 +408,7 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
         window = xs <= 0.5
         report.sup_ratio = float(np.max(np.abs(ratio[window])))
         report.certified_remainder = float(res.head_bound)
+        report.head_budget_met = report.certified_remainder <= EX1_HEAD_BUDGET
         report.stability = abs(report.sup_ratio_refined - report.sup_ratio) \
             / max(report.sup_ratio, 1e-300)
         report.alternating_ok = res.alternating_ok

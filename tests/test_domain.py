@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from greenbound import (GridFn, Interval, InvalidGridError, NotIntegrableError,
-                        make_grid, quad_trapezoid_split, read_gridfn_csv,
-                        sample, write_gridfn_csv)
+from greenbound import (GridFn, Interval, InvalidGridError, make_grid,
+                        read_gridfn_csv, sample, write_gridfn_csv)
 
 
 def test_make_grid_unit_interval():
@@ -47,60 +46,6 @@ def test_sample_oscillatory_interior():
     g = make_grid(Interval(0.0, 1.0), 11)
     f = sample(lambda x: np.sin(np.pi / np.sqrt(x)) if x > 0 else np.inf, g)
     assert np.all(np.abs(f.values[1:]) <= 1.0)
-
-
-def test_quad_constant_exact():
-    g = make_grid(Interval(0.0, 1.0), 17)
-    f = sample(lambda x: 1.0, g)
-    for split in (0, 5, 16):
-        assert quad_trapezoid_split(f, split) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_quad_linear_exact():
-    g = make_grid(Interval(0.0, 1.0), 11)
-    f = sample(lambda x: x, g)
-    assert quad_trapezoid_split(f, 5) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_quad_kink_at_split_exact():
-    # piecewise linear with a kink at the split node: exact integral is the
-    # sum of two trapezoid areas computed in closed form
-    g = make_grid(Interval(0.0, 1.0), 21)
-    kink = 0.3
-    f = sample(lambda x: 2.0 * x if x <= kink else 2.0 * kink - (x - kink), g)
-    split = 6  # node at 0.3
-    exact = kink * (2 * kink) / 2 + (1 - kink) * (2 * kink + (2 * kink - (1 - kink))) / 2
-    got = quad_trapezoid_split(f, split)
-    assert got == pytest.approx(exact, rel=10 * np.finfo(float).eps * g.n)
-
-
-def test_quad_linear_monotone_in_f():
-    rng = np.random.default_rng(3)
-    g = make_grid(Interval(0.0, 2.0), 31)
-    a = GridFn(g, rng.uniform(0, 1, g.n))
-    b = GridFn(g, a.values + rng.uniform(0, 1, g.n))
-    c = 1.7
-    lin = quad_trapezoid_split(GridFn(g, a.values + c * b.values), 10)
-    assert lin == pytest.approx(
-        quad_trapezoid_split(a, 10) + c * quad_trapezoid_split(b, 10), rel=1e-13)
-    assert quad_trapezoid_split(a, 10) <= quad_trapezoid_split(b, 10)
-
-
-def test_quad_second_order_convergence():
-    errs = []
-    for n in (51, 101, 201):
-        g = make_grid(Interval(0.0, 1.0), n)
-        f = sample(np.exp, g)
-        errs.append(abs(quad_trapezoid_split(f, n // 2) - (np.e - 1.0)))
-    assert errs[0] / errs[1] >= 3.5
-    assert errs[1] / errs[2] >= 3.5
-
-
-def test_quad_rejects_infinite_values():
-    g = make_grid(Interval(0.0, 1.0), 5)
-    f = sample(lambda x: min(x, 1 - x) ** (-1.0), g)
-    with pytest.raises(NotIntegrableError):
-        quad_trapezoid_split(f, 2)
 
 
 def test_gridfn_shape_mismatch():

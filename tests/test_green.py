@@ -6,7 +6,7 @@ import pytest
 
 from greenbound import (DomainError, GridFn, Interval, Kernel,
                         NotIntegrableError, improper_potential_at,
-                        iterated_kernel, kernel_eval, make_grid, potential,
+                        iterated_kernel, make_grid, potential,
                         potential_improper, power_product, sample)
 from greenbound import green
 
@@ -19,18 +19,18 @@ def unit():
 
 def test_kernel_point_values():
     k01 = Kernel.closed_form(Interval(0.0, 1.0))
-    assert kernel_eval(k01, 0.5, 0.5) == pytest.approx(0.25, abs=1e-16)
+    assert k01.eval(0.5, 0.5) == pytest.approx(0.25, abs=1e-16)
     k11 = Kernel.closed_form(Interval(-1.0, 1.0))
     # normalized by 1/(b-a): the oracle below (f=1 potential) pins this choice
-    assert kernel_eval(k11, 0.0, 0.0) == pytest.approx(0.5, abs=1e-16)
-    assert kernel_eval(k01, 0.0, 0.7) == 0.0
-    assert kernel_eval(k01, 0.3, 0.8) == kernel_eval(k01, 0.8, 0.3)
+    assert k11.eval(0.0, 0.0) == pytest.approx(0.5, abs=1e-16)
+    assert k01.eval(0.0, 0.7) == 0.0
+    assert k01.eval(0.3, 0.8) == k01.eval(0.8, 0.3)
 
 
 def test_kernel_outside_interval():
     k = Kernel.closed_form(Interval(0.0, 1.0))
     with pytest.raises(DomainError):
-        kernel_eval(k, -0.1, 0.5)
+        k.eval(-0.1, 0.5)
 
 
 @pytest.mark.parametrize("interval,h_exact", [

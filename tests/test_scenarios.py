@@ -7,6 +7,7 @@ from greenbound import (GridFn, Interval, InvalidScenarioError, Kernel,
                         make_grid, potential, sample, sharpness_report_ex4,
                         thm1_bound, verify_cancellation_ex1)
 from greenbound._oscillate import green_apply_oscillatory
+from greenbound.scenarios import EX1_HEAD_BUDGET
 from greenbound.bvp import laplacian_1d
 
 
@@ -340,10 +341,62 @@ def test_ex1_coarse_readoff_matches_coarse_pass(alpha):
     assert rep.certified_remainder == res.head_bound
 
 
+def _brute_ex1_green(alpha, xs, periods=2 ** 17):
+    """G(hV) at xs from Gauss panels on every sign interval down to y_N.
+
+    N = periods + 1 and y_k = k^{-1/alpha}.  Every interval between sign
+    changes, points and a 0.005 fill is split in two 8-point Gauss panels.
+    The partial sums down to y_{N-1} and to y_N bracket the limit.  Returns
+    the middle of that bracket and its half-width.
+    """
+    hV = ex1_functions(alpha)["hV"]
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    zeros = np.arange(1, periods + 2, dtype=float) ** (-1.0 / alpha)
+    edges = np.unique(np.concatenate([zeros, xs, np.linspace(0.0, 1.0, 201)[1:]]))
+    edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    m0, m1 = [], []
+    for lo, hi in zip(np.array_split(edges[:-1], 16), np.array_split(edges[1:], 16)):
+        half = 0.5 * (hi - lo)[:, None]
+        y = 0.5 * (lo + hi)[:, None] + half * gx
+        f = hV(y) * half * gw
+        m0.append(f.sum(axis=1))
+        m1.append((y * f).sum(axis=1))
+    m0, m1 = np.concatenate(m0), np.concatenate(m1)
+    below = edges[1:, None] <= xs
+    A = np.sum(np.where(below, m1[:, None], 0.0), axis=0)
+    B = np.sum(np.where(below, 0.0, (m0 - m1)[:, None]), axis=0)
+    deepest = (1.0 - xs) * (m1[0] + m1[1])   # the deepest interval's two panels
+    return (1.0 - xs) * A + xs * B - 0.5 * deepest, 0.5 * np.abs(deepest)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.6])
+def test_ex1_summed_head_against_brute_force_periods(alpha):
+    # the summed head against 2^17 resolved periods, which the oscillatory
+    # pass never reaches: both agree within the head certificate plus the
+    # bracket of the brute-force partial sums, up to the rounding of two
+    # panel layouts
+    xs = np.array([0.002, 0.05, 0.3, 0.7])
+    res = green_apply_oscillatory(ex1_functions(alpha)["hV"], alpha, xs,
+                                  head_budget=EX1_HEAD_BUDGET)
+    ref, half_bracket = _brute_ex1_green(alpha, xs)
+    assert res.periods < 2 ** 17
+    rounding = 1e-14 * np.max(np.abs(ref))
+    assert np.all(np.abs(res.values - ref) <= res.head_bound + half_bracket + rounding)
+
+
+@pytest.mark.parametrize("alpha", [0.72, 0.8, 0.85, 0.9])
+def test_ex1_head_budget_met_within_default_periods(alpha):
+    rep = verify_cancellation_ex1(alpha, make_grid(Interval(0.0, 1.0), 501))
+    assert rep.certified_remainder <= EX1_HEAD_BUDGET
+    assert rep.summary()["head_budget_met"] is True
+    assert rep.alternating_ok
+
+
 def test_ex1_summary_reports_head_diagnostics():
     grid = make_grid(Interval(0.0, 1.0), 501)
     half = verify_cancellation_ex1(0.5, grid).summary()
     assert half["alternating_ok"] is True
+    assert half["head_budget_met"] is True
     assert isinstance(half["periods"], int) and half["periods"] > 0
     assert {"sup_ratio", "stability", "bound_violations"} <= half.keys()
     one = verify_cancellation_ex1(1.0, grid, probes=np.array([1e-3, 1e-2]),
@@ -351,6 +404,7 @@ def test_ex1_summary_reports_head_diagnostics():
     assert isinstance(one["alternating_ok"], bool)
     assert one["periods"] == 2 ** 16 - 2
     assert {"growth_factor", "improper_values", "probes"} <= one.keys()
+    assert "head_budget_met" not in one
     assert one["schema"] == half["schema"] == "greenbound/1"
 
 
