@@ -26,7 +26,8 @@ through the averaged sums at depths K/4, K/2 and K extrapolates the drift
 (cf. Cohen, Rodriguez Villegas & Zagier, Exp. Math. 9, 2000; Sidi,
 *Practical Extrapolation Methods*, 2003).  H is added to A, and its
 certificate is the gap to the same estimate one depth shallower (K/2)
-plus the gap to half the averaging order.  The depth K doubles until the
+plus the gap to half the averaging order, and at least the rounding
+eps·Σ|P_k| of the summed periods.  The depth K doubles until the
 certificate meets ``head_budget``; the estimate at depth K reads the
 periods below y_{K/8-2}, and the periods between y_r and y_{K/8-2} are
 added as computed.  r = K/8 - 2 for the first K, and that K is 4,096
@@ -69,13 +70,15 @@ class OscillatoryResult:
     With scalar edges every array is indexed by point.  With arrays of
     exhaustion edges ``values``, ``eps`` and ``head_bound`` gain a leading
     level axis; ``periods`` counts the deepest level's intervals and
-    ``alternating_ok`` holds for all levels.
+    ``alternating_ok`` holds for all levels.  ``head_bound`` and ``eps``
+    bound truncation only: the rounding of the running moments, about
+    1e-16 of the values, is left out.
     """
 
     values: np.ndarray          # G w at the requested points, summed head included
-    head_bound: float | np.ndarray  # error bound of the summed head of A (a = 0),
-                                    # or |unresolved window of A| (a != 0)
-    eps: np.ndarray             # per-point bound propagated from the head
+    head_bound: float | np.ndarray  # truncation bound of the summed head of A
+                                    # (a = 0), or |unresolved window of A| (a != 0)
+    eps: np.ndarray             # per-point truncation bound propagated from the head
     periods: int                # number of resolved sign intervals
     alternating_ok: bool        # trailing period magnitudes decrease with depth
 
@@ -130,15 +133,20 @@ def _extrapolate(S: np.ndarray, nodes, p: int) -> float:
 
 
 def _head_estimate(P: np.ndarray, r: int, K: int):
-    """(Σ_{k>=r} P_k, certificate) from P_k, r <= k < K + _AVERAGING/2."""
+    """(Σ_{k>=r} P_k, certificate) from P_k, r <= k < K + _AVERAGING/2.
+
+    The certificate is at least eps·Σ|P_k|, the rounding of the summed
+    periods, so it never reads 0 while the periods do not vanish.
+    """
     S = np.concatenate([[0.0], np.cumsum(P)])
+    rounding = np.finfo(float).eps * float(np.sum(np.abs(P)))
     if not np.any(P[3 * K // 4 - r:]):
-        return float(S[-1]), 0.0
+        return float(S[-1]), rounding
     deep = [K // 4 - r, K // 2 - r, K - r]
     head = _extrapolate(S, deep, _AVERAGING)
     shallower = _extrapolate(S, [K // 8 - r, K // 4 - r, K // 2 - r], _AVERAGING)
     lower_order = _extrapolate(S, deep, _AVERAGING // 2)
-    return head, abs(head - shallower) + abs(head - lower_order)
+    return head, max(abs(head - shallower) + abs(head - lower_order), rounding)
 
 
 def _summed_head(w_fn, alpha, k_min, k_top, head_budget, max_periods):
@@ -186,7 +194,9 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     that sum drops under ``head_budget`` (or ``max_periods`` is hit).  For
     a > 0 the integral is resolved all the way down to a when affordable;
     otherwise, and always for a < 0, the unresolved window above a is left
-    out and certified by its deepest period.
+    out and certified by its deepest period.  These certificates (``eps``,
+    ``head_bound``) bound truncation only; the rounding of the running
+    moments, about 1e-16 relative, is left out.
 
     ``a`` and ``b`` may be equal-length arrays of exhaustion edges; all
     levels then come from one pass over the deepest level's panels.  Points

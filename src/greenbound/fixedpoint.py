@@ -170,7 +170,7 @@ def solve_integral_equation(kernel: Kernel, h: GridFn, V: GridFn, q: float,
     with the offending interior node indices (1..n-2).  Stops when
     sup|u + K(u^q V) - h| <= tol (default 1e-10 sup h).  Boundary nodes are
     pinned to h's boundary values; K integrals treat the boundary panels by
-    the open midpoint refinement of :mod:`greenbound.green`.
+    the dyadic power-law rule of :mod:`greenbound.green`.
     """
     grid = h.grid
     if V.grid != grid:

@@ -19,20 +19,14 @@ say), which is then probed like an infinite one.  Such sources are split
 into positive and negative parts.  Because the kernel vanishes linearly at
 the endpoints, the boundary-panel contribution of a part factorizes into
 a scalar moment of the source times a per-node kernel factor.  Every such
-moment comes from :func:`_edge_moment`.  Value-only data take the exact
-moment of the power law fitted through the two innermost interior nodes;
-the part reads +inf when the fitted exponent is within the shell rule's
-margin of the threshold, unless a third node fits a steepening power law
-whose exponent, extrapolated to the endpoint, stays below the threshold by
-more than its uncertainty.  What is left of their error is the trapezoid
-core's O(dx^{2-s}) term.  An attached expression is integrated with an
-open midpoint rule on dyadically shrinking shells, every shell from one
-call on one node array, and the stop and divergence rule is read off the
-vector of shell values: the part is declared to integrate to +inf when
-three consecutive dyadic refinements of that panel keep growing without
-slowing (successive increment ratio >= 0.9).  The panels next to the
-refined one are then integrated with per-panel Gauss-Legendre instead of
-the trapezoid rule (the kernel is linear in y on each panel, so only two
+moment comes from one dyadic power-law rule (:func:`_edge_moment`): the
+local exponents s_m = log2(f(d_{m+1})/f(d_m)) at the distances
+d_m = dx·2^{-m} give each shell the exact moment of the power law through
+its end values, the deepest one closes the panel in closed form, and
+their drift decides whether the part integrates to +inf.  Value-only data
+are its smallest case, with no inner shells.  Next to the boundary panel
+of an attached expression, per-panel Gauss-Legendre replaces the
+trapezoid rule (the kernel is linear in y on each panel, so only two
 scalar moments per panel are needed, as masses at its end nodes).
 
 Improper potentials take the proper value wherever it is well defined
@@ -66,15 +60,14 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _CHUNK_PANELS = 1 << 15     # panels per source evaluation (8 Gauss points each)
 
 REFINE_PANELS = 24
-SHELL_LEVELS = 60
-SHELL_POINTS = 48
-DIVERGENCE_RATIO = 0.9
-# symmetrized Kronecker offsets of the shell nodes: equal weights,
-# midpoint-symmetric (so linear integrands are integrated exactly), and
-# irrational spacing that defeats the phase locking of rapidly oscillating
-# sources on rational node lattices
-_KRONECKER = np.mod(np.arange(1, SHELL_POINTS // 2 + 1) * 0.6180339887498949, 1.0)
-_SHELL_OFFSETS = np.sort(np.concatenate([0.5 * _KRONECKER, 1.0 - 0.5 * _KRONECKER]))
+_MAX_LEVELS = 60            # deepest dyadic node of an attached expression
+# 3-point Gauss-Legendre on (0, 1) in t = log2(d_m/d), across each dyadic shell
+_SHELL_T, _SHELL_W = (np.array(np.polynomial.legendre.leggauss(3)) + [[1.0], [0.0]]) / 2.0
+_LN2 = float(np.log(2.0))
+_TWO_NODE_MARGIN = np.log2(0.9)    # a two-node exponent this close below e+1 reads +inf
+_BAND = 0.005               # an extrapolated exponent this close below e+1 reads +inf
+_DRIFT_FLOOR = 1e-6         # smaller exponent drifts are rounding
+_FIT_TOL = 1e-2             # relative misfit of a deep shell to its power law
 
 
 def _vectorized(fn: Callable) -> Callable:
@@ -179,67 +172,6 @@ def _part_fn(fn, sign: int):
     return lambda y: np.maximum(-vfn(y), 0.0)
 
 
-def _edge_source(pfn, grid: Grid, inward: int):
-    """Attached part at distance d from one endpoint (inward = 1 left, -1 right)."""
-    edge = grid.interval.left if inward > 0 else grid.interval.right
-
-    def source(d):
-        # distances below half an ulp of the edge round onto it: read +inf
-        # there (zeroed by the caller) instead of evaluating the endpoint
-        x = edge + inward * np.asarray(d, dtype=float)
-        off_edge = x != edge
-        out = np.full(x.shape, np.inf)
-        out[off_edge] = pfn(x[off_edge])
-        return out
-
-    return source
-
-
-def _singular_panel_moment(dx: float, eval_from_edge, weight_exponent: int = 1):
-    """Open-midpoint moment of the boundary panel next to a singular endpoint.
-
-    Integrates d^e * f over distances d in (0, dx) from the endpoint, where
-    ``eval_from_edge(d)`` returns the (nonnegative) source at distance d and
-    e = ``weight_exponent``.  The dyadic shells [dx 2^{-m-1}, dx 2^{-m}],
-    m < SHELL_LEVELS, are summed with a composite midpoint rule, all of them
-    from one call on the SHELL_LEVELS x SHELL_POINTS array of nodes.  The
-    stop and divergence rule is then read off the vector of shell values:
-    shells are added until one falls below 1e-18 of the running total, and
-    divergence (the part integrates to +inf) is declared when three
-    consecutive shells keep the increment ratio >= DIVERGENCE_RATIO.
-
-    Returns (moment, diverged).
-    """
-    hi = dx * 2.0 ** -np.arange(SHELL_LEVELS)
-    lo = hi / 2.0
-    width = hi - lo
-    d = lo[:, None] + _SHELL_OFFSETS * width[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = (d ** weight_exponent) * np.asarray(eval_from_edge(d), dtype=float)
-    g = np.where(np.isfinite(g), g, 0.0)
-    shells = np.sum(g, axis=1) * (width / _SHELL_OFFSETS.size)
-
-    total = 0.0
-    prev = prev2 = None
-    slow = 0
-    for cur in shells.tolist():
-        total += cur
-        if prev is not None and prev > 0.0 and cur > 0.0:
-            slow = slow + 1 if cur / prev >= DIVERGENCE_RATIO else 0
-            if slow >= 3:
-                return np.inf, True
-        elif prev is not None:
-            slow = 0
-        prev2, prev = prev, cur
-        if abs(cur) <= 1e-18 * max(abs(total), 1e-300):
-            break
-    if prev and prev2:
-        r = prev / prev2
-        if 0.0 < r < 0.95:
-            total += prev * r / (1.0 - r)
-    return total, False
-
-
 def _panel_moments(fn, lo: np.ndarray, hi: np.ndarray, origin=0.0):
     """Per-panel 8-point Gauss-Legendre sums of ∫f and ∫(y - origin)·f.
 
@@ -295,41 +227,109 @@ def _check_source(f: GridFn) -> None:
         raise NotIntegrableError("interior values must be finite")
 
 
+def _power_law_tail(f_end, d_end, exps, e1: int):
+    """∫_0^{d_end} d^{e1-1} f below the deepest dyadic node, and its verdict.
+
+    ``exps`` are the local exponents s_m = log2(f(d_{m+1})/f(d_m)) of
+    f ~ d^{-s} at the dyadic nodes d_{m+1} = d_m/2, shallowest first and
+    ending at d_end.  Below d_end, f is the power law through f_end with
+    the deepest exponent s, clipped to [-8, 8] (0 without exponents); its
+    moment is f_end·d_end^{e1}/(e1-s).  The part reads +inf when
+      - node data (at most two exponents): s is within _TWO_NODE_MARGIN of
+        e1, unless a shallower s' extrapolates 2s - s' below e1 by more
+        than its uncertainty |s - s'|;
+      - three or more: the exponent, extrapolated by the ratio r of its
+        last two drifts, is within _BAND of e1.  A rising drift is summed
+        as s_m = s + c/(m + m0) leaves it (which bounds a geometric drift)
+        and cannot be certified unless it slows (r < 1); a falling or
+        alternating exponent is bounded by the larger of the last two.
+    Returns (moment, diverged).
+    """
+    s = min(max(float(exps[-1]), -8.0), 8.0) if len(exps) else 0.0
+    if len(exps) < 3:
+        diverged = s >= e1 + _TWO_NODE_MARGIN
+        if diverged and len(exps) == 2:
+            s24 = float(exps[0])
+            diverged = max(s, 2.0 * s - s24) + abs(s - s24) >= e1
+    else:
+        drift, prev = exps[-1] - exps[-2], exps[-2] - exps[-3]
+        limit = max(exps[-1], exps[-2])
+        if drift > _DRIFT_FLOOR and prev > 0.0:
+            r = drift / prev
+            limit = exps[-1] + drift * (1.0 + r) / (1.0 - r) if r < 1.0 else np.inf
+        diverged = limit >= e1 - _BAND
+    if diverged:
+        return np.inf, True
+    return float(f_end * d_end ** e1 / (e1 - s)), False
+
+
+def _expression_moment(pfn, grid: Grid, inward: int, e1: int):
+    """∫_0^dx d^{e1-1} f of an attached part f over one boundary panel.
+
+    f is evaluated once, at d_m = dx·2^{-m} down to where edge ± d still
+    carries d to about 1e-8 (_MAX_LEVELS at an edge at 0), and at _SHELL_T
+    points inside each shell [d_{m+1}, d_m].  A shell takes the exact
+    moment of the power law through its end values plus Gauss-Legendre in
+    log d on the rest.  Where the three deepest shells fit their power laws
+    to _FIT_TOL, :func:`_power_law_tail` closes the panel and gives the
+    verdict.  Returns (moment, diverged).
+    """
+    edge = grid.interval.left if inward > 0 else grid.interval.right
+    dx = grid.spacing
+    levels = min(max(int(np.log2(1e-8 * dx) - np.log2(np.spacing(abs(edge)))), 3), _MAX_LEVELS)
+    d = dx * 0.5 ** np.arange(levels + 1)
+    t = d[:-1, None] * 0.5 ** _SHELL_T
+    dist = np.concatenate([d, t.ravel()])
+    fv = pfn(edge + inward * dist)
+    if not np.isfinite(fv).all():
+        return np.inf, True
+    if not fv.any():
+        return 0.0, False
+    f, ft = fv[:levels + 1], fv[levels + 1:].reshape(t.shape)
+    de = dist ** e1
+    w = fv * de
+    live = (f[:-1] > 0.0) & (f[1:] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(live, np.log2(f[1:] / f[:-1]), 0.0)
+        c = e1 - s
+        mean = np.where(c == 0.0, _LN2, -np.expm1(-_LN2 * c) / c)
+        p = np.where(live, f[:-1], 0.0)[:, None] * np.exp2(s[:, None] * _SHELL_T)
+        rest = (ft - p) * de[levels + 1:].reshape(t.shape)
+        shells = np.where(live, w[:levels], 0.0) * mean + _LN2 * (rest @ _SHELL_W)
+    total = float(shells.sum())
+    if live[-3:].all() and (np.abs(ft[-3:] - p[-3:]) <= _FIT_TOL * p[-3:]).all():
+        tail, diverged = _power_law_tail(f[-1], d[-1], s[-3:], e1)
+        return total + tail, diverged
+    # no power law fits (an oscillating source, say): finite, without a tail,
+    # only if the sampled d^{e1} f halves from the shallow to the deep levels
+    deep = dist < d[levels // 2]
+    return (total, False) if w[deep].max() <= 0.5 * w[~deep].max() else (np.inf, True)
+
+
 def _edge_moment(f: GridFn, sign: int, inward: int, weight_exponent: int = 1):
     """∫ d^e max(sign·f, 0) over the boundary panel at one endpoint.
 
     d is the distance from the endpoint (inward = 1 left, -1 right) and e is
     ``weight_exponent``.  An attached expression goes through
-    :func:`_singular_panel_moment`.  Value-only data take the power law
-    f1·(d/dx)^{-s} through f1 = f(dx) and f2 = f(2dx), s = log2(f1/f2)
-    clipped to [-8, 8] (0 unless f2 > 0 is finite), whose moment is exactly
-    f1·dx^{e+1}/(e+1-s).  The part reads +inf when s reaches the shell
-    rule's threshold e+1+log2(DIVERGENCE_RATIO), unless a third node
-    f4 = f(4dx) in the endpoint's half of the interval continues a
-    steepening power law (f2 >= f4 > 0) and clears it: the exponent
-    2s - s24 extrapolated to d -> 0, s24 = log2(f2/f4), stays below e+1 by
-    more than its uncertainty |s - s24|.  Returns (moment, diverged).
+    :func:`_expression_moment`.  Value-only data are the smallest case of
+    its rule, the nodes dx, 2dx and 4dx with no inner shells: a node counts
+    while the part is positive and finite there, and 4dx also needs n >= 9
+    and f(2dx) >= f(4dx).  Returns (moment, diverged).
     """
     grid = f.grid
+    e1 = weight_exponent + 1
     pfn = _part_fn(f.fn, sign)
     if pfn is not None:
-        return _singular_panel_moment(grid.spacing, _edge_source(pfn, grid, inward),
-                                      weight_exponent)
+        return _expression_moment(pfn, grid, inward, e1)
     part = np.maximum(sign * f.values[::inward][:5], 0.0)     # from the edge inward
     f1, f2, f4 = part[1], part[2], part[4] if grid.n >= 9 else 0.0
     if not (np.isfinite(f1) and f1 > 0.0):
         return 0.0, False
-    s, e1 = 0.0, weight_exponent + 1
+    exps = []
     with np.errstate(divide="ignore", over="ignore"):
         if np.isfinite(f2) and f2 > 0.0:
-            s = float(np.clip(np.log2(f1 / f2), -8.0, 8.0))
-        diverged = s >= e1 + np.log2(DIVERGENCE_RATIO)
-        if diverged and f2 >= f4 > 0.0:
-            s24 = float(np.log2(f2 / f4))
-            diverged = max(s, 2.0 * s - s24) + abs(s - s24) >= e1
-    if diverged:
-        return np.inf, True
-    return float(f1 * grid.spacing ** e1 / (e1 - s)), False
+            exps = ([np.log2(f2 / f4)] if f2 >= f4 > 0.0 else []) + [np.log2(f1 / f2)]
+    return _power_law_tail(f1, grid.spacing, exps, e1)
 
 
 def _integrate_part(kernel: Kernel, f: GridFn, sign: int):

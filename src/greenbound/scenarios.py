@@ -367,8 +367,9 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     worst margin of u against the q = 1 lower bound h e^{-G(hV)/h}.  The
     head of G(hV) below the resolved sign changes is summed by series
     acceleration (see :mod:`greenbound._oscillate`);
-    ``certified_remainder`` is the error bound of that sum, and
-    ``head_budget_met`` says whether it met EX1_HEAD_BUDGET within
+    ``certified_remainder`` is the truncation bound of that sum (the
+    rounding of the running moments, about 1e-16 relative, is left out),
+    and ``head_budget_met`` says whether it met EX1_HEAD_BUDGET within
     ``max_periods``.
 
     alpha = 1: G(hV) exists only as an improper integral; its exhaustion

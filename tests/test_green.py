@@ -379,8 +379,16 @@ def test_benchmark_singular_ops_fail_only_with_known_defects(tmp_path, monkeypat
     kinds = {"power", "sign_changing", "iterated"}
     ops = [op for op in load.cycle(rng) if op.kind in kinds]
     assert {op.kind for op in ops} == kinds
+    # a +inf verdict below the threshold only inside the documented band
+    threshold = {"potential_inf_below_threshold": 2.0,
+                 "iterated_kernel_not_integrable_below_threshold": 3.0}
     for op in ops:
-        assert load.execute(op) in known, op
+        reason = load.execute(op)
+        assert reason in known, op
+        if reason in threshold:
+            top = threshold[reason]
+            exps = [op.params[k] for k in ("beta", "b1", "b2") if k in op.params]
+            assert any(top - green._BAND <= e < top for e in exps), op
 
 
 def test_iterated_kernel_needs_interior_points(unit):
@@ -480,66 +488,6 @@ def test_potentials_run_in_linear_memory():
     assert peak < 16e6    # a dense 4001² kernel alone is 128 MB
 
 
-def _shell_by_shell_moment(dx, eval_from_edge, weight_exponent=1):
-    """Reference: the boundary-panel moment one shell call at a time."""
-    base = np.mod(np.arange(1, green.SHELL_POINTS // 2 + 1) * 0.6180339887498949, 1.0)
-    offs = np.sort(np.concatenate([0.5 * base, 1.0 - 0.5 * base]))
-
-    def shell(m):
-        hi = dx * 2.0 ** (-m)
-        lo = hi / 2.0
-        width = hi - lo
-        d = lo + offs * width
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = (d ** weight_exponent) * np.asarray(eval_from_edge(d), dtype=float)
-        g = np.where(np.isfinite(g), g, 0.0)
-        return float(np.sum(g) * (width / offs.size))
-
-    total = 0.0
-    prev = prev2 = None
-    slow = 0
-    for m in range(green.SHELL_LEVELS):
-        cur = shell(m)
-        total += cur
-        if prev is not None and prev > 0.0 and cur > 0.0:
-            slow = slow + 1 if cur / prev >= green.DIVERGENCE_RATIO else 0
-            if slow >= 3:
-                return np.inf, True
-        elif prev is not None:
-            slow = 0
-        prev2, prev = prev, cur
-        if abs(cur) <= 1e-18 * max(abs(total), 1e-300):
-            break
-    if prev and prev2:
-        r = prev / prev2
-        if 0.0 < r < 0.95:
-            total += prev * r / (1.0 - r)
-    return total, False
-
-
-def _edge_sources(grid, beta):
-    return [
-        green._edge_source(green._part_fn(lambda x: x ** -beta, 1), grid, 1),
-        green._edge_source(green._part_fn(lambda x: (1.0 - x) ** -beta, 1), grid, -1),
-        green._edge_source(green._part_fn(
-            lambda x: (1.0 - x) ** -beta * np.sin(1.0 / (1.0 - x)), -1), grid, -1),
-    ]
-
-
-def test_shell_stack_matches_shell_by_shell_loop():
-    grid = make_grid(Interval(0.0, 1.0), 2001)
-    dx = grid.spacing
-    for beta in np.arange(0.1, 3.45, 0.1):
-        for src in _edge_sources(grid, beta):
-            for weight in (1, 2):
-                got = green._singular_panel_moment(dx, src, weight)
-                assert got == _shell_by_shell_moment(dx, src, weight), (beta, weight)
-    # a source that diverges within the first shells
-    early = green._edge_source(green._part_fn(lambda x: x ** -6.0, 1), grid, 1)
-    assert green._singular_panel_moment(dx, early, 1) == (np.inf, True)
-    assert _shell_by_shell_moment(dx, early, 1) == (np.inf, True)
-
-
 def test_attached_expression_called_once_per_edge_and_part():
     grid = make_grid(Interval(0.0, 1.0), 2001)
     k = Kernel.closed_form(grid.interval)
@@ -551,13 +499,89 @@ def test_attached_expression_called_once_per_edge_and_part():
 
     f = sample(expr, grid)
     sizes.clear()
-    green._singular_panel_moment(grid.spacing,
-                                 green._edge_source(green._part_fn(expr, 1), grid, -1))
+    green._expression_moment(green._part_fn(expr, 1), grid, -1, 2)
     assert len(sizes) == 1
     sizes.clear()
     assert potential(k, f).finite
-    # two parts x two probed edges x (one shell stack + one batch of Gauss panels)
+    # two parts x two probed edges x (one dyadic node array + one batch of Gauss panels)
     assert len(sizes) == 8
+
+
+# factors g of attached sources d^{-beta} g(d), with the closed form of
+# ∫_0^dx d^{c-1} g(d) dd, c = e + 1 - beta, where it is finite
+_FACTORS = {
+    "1": (lambda d: 1.0 + 0.0 * d, lambda c, dx: dx ** c / c),
+    "1+d": (lambda d: 1.0 + d, lambda c, dx: dx ** c / c + dx ** (c + 1) / (c + 1)),
+    "1-d": (lambda d: 1.0 - d, None),
+    "exp(d)": (np.exp, lambda c, dx: sum(dx ** (c + k) / (math.factorial(k) * (c + k))
+                                         for k in range(10))),
+    "log(1/d)": (lambda d: np.log(1.0 / d),
+                 lambda c, dx: dx ** c * (math.log(1.0 / dx) / c + 1.0 / c ** 2)),
+    "1/log(1/d)": (lambda d: 1.0 / np.log(1.0 / d), None),
+}
+
+
+def _attached(grid, beta, g):
+    """d^{-beta} g(d), d = min(x-a, b-x), with its expression and +inf ends."""
+    a, b = grid.interval.left, grid.interval.right
+
+    def fn(x):
+        d = np.minimum(x - a, b - x)
+        return d ** -beta * g(d)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = fn(grid.nodes)
+    vals[[0, -1]] = np.inf
+    return GridFn(grid, vals, fn=fn)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("factor,beta,rel", [
+    ("1", 0.5, 1e-8), ("1", 1.5, 1e-8), ("1", 1.9, 1e-8), ("1", 1.98, 1e-8),
+    ("1+d", 1.9, 1e-6), ("exp(d)", 1.5, 1e-6), ("log(1/d)", 1.0, 1e-6)])
+def test_attached_edge_moment_below_the_threshold(interval, factor, beta, rel):
+    """Both edges, weight d (potential) and d² with the exponent shifted by one."""
+    grid = make_grid(Interval(*interval), 2001)
+    g, closed = _FACTORS[factor]
+    want = closed(2.0 - beta, grid.spacing)
+    for e in (1, 2):
+        f = _attached(grid, beta + e - 1, g)
+        for inward in (1, -1):
+            got, diverged = green._edge_moment(f, 1, inward, e)
+            assert not diverged, (e, inward)
+            assert got == pytest.approx(want, rel=rel), (e, inward)
+    k = Kernel.closed_form(grid.interval)
+    assert potential(k, _attached(grid, beta, g)).finite
+    assert math.isfinite(iterated_kernel(k, _attached(grid, beta + 1.0, g), 0.3, 0.6))
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("factor,beta", [
+    ("1", 2.0), ("1", 2.2), ("1+d", 2.0), ("1-d", 2.0), ("log(1/d)", 2.0),
+    ("1/log(1/d)", 2.0)])
+def test_attached_edge_moment_at_the_threshold_diverges(interval, factor, beta):
+    grid = make_grid(Interval(*interval), 2001)
+    g = _FACTORS[factor][0]
+    for e in (1, 2):
+        f = _attached(grid, beta + e - 1, g)
+        for inward in (1, -1):
+            assert green._edge_moment(f, 1, inward, e) == (np.inf, True), (e, inward)
+    k = Kernel.closed_form(grid.interval)
+    assert potential(k, _attached(grid, beta, g)).plus_infinite
+    with pytest.raises(NotIntegrableError):
+        iterated_kernel(k, _attached(grid, beta + 1.0, g), 0.3, 0.6)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 2.0)])
+def test_source_oscillating_into_the_edge_never_reads_finite_when_divergent(interval):
+    """sin(1/d)·d^{-beta} is resolved by no dyadic rule; at beta = 2.5 both
+    parts must read +inf, though they may read finite where they integrate."""
+    grid = make_grid(Interval(*interval), 2001)
+    k = Kernel.closed_form(grid.interval)
+    res = potential(k, _attached(grid, 2.5, lambda d: np.sin(1.0 / d)))
+    assert res.plus_infinite and res.minus_infinite
+    with pytest.raises(NotIntegrableError):
+        iterated_kernel(k, _attached(grid, 3.5, lambda d: np.sin(1.0 / d)), 0.3, 0.6)
 
 
 def _value_only_power(grid, beta):
@@ -597,7 +621,7 @@ def test_value_only_edge_moment_on_small_grids(n):
     """
     grid = make_grid(Interval(0.0, 1.0), n)
     dx = grid.spacing
-    margin = 0.0 if n >= 9 else math.log2(green.DIVERGENCE_RATIO)
+    margin = 0.0 if n >= 9 else green._TWO_NODE_MARGIN
     for beta in (0.0, 0.5, 1.0, 1.5, 1.9, 2.5):
         vals = _value_only_power(grid, beta).values.copy()
         vals[[0, -1]] = np.inf
@@ -645,7 +669,7 @@ def test_value_only_verdict_never_diverges_below_the_shell_margin():
         s = math.log2(vals[1] / vals[2])
         for e in (1, 2):
             if green._edge_moment(f, 1, 1, e)[1]:
-                assert s >= e + 1 + math.log2(green.DIVERGENCE_RATIO)
+                assert s >= e + 1 + green._TWO_NODE_MARGIN
     # d^{-1/2}(1.01 + sin(w/d)), w = 0.0032: f(dx), f(2dx), f(4dx) = 51.8, 29.6, 44.9
     d = grid.boundary_distance()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -656,10 +680,10 @@ def test_value_only_verdict_never_diverges_below_the_shell_margin():
 def test_value_only_sources_never_reach_the_shell_stack(monkeypatch):
     from greenbound import sharp_constants, solve_integral_equation
 
-    def shell_stack(*args, **kwargs):
-        raise AssertionError("shell stack called on value-only data")
+    def expression_branch(*args, **kwargs):
+        raise AssertionError("expression branch called on value-only data")
 
-    monkeypatch.setattr(green, "_singular_panel_moment", shell_stack)
+    monkeypatch.setattr(green, "_expression_moment", expression_branch)
     grid = make_grid(Interval(0.0, 1.0), 2001)
     k = Kernel.closed_form(grid.interval)
     h = potential(k, sample(lambda x: 1.0, grid)).value

@@ -384,6 +384,15 @@ def test_ex1_summed_head_against_brute_force_periods(alpha):
     assert np.all(np.abs(res.values - ref) <= res.head_bound + half_bracket + rounding)
 
 
+def test_ex1_head_certificate_keeps_the_rounding():
+    # at alpha = 0.05 the deep periods fall below the rounding of the head
+    # and the three extrapolations agree bitwise; the certificate is then
+    # the rounding of the summed periods, not 0
+    res = green_apply_oscillatory(ex1_functions(0.05)["hV"], 0.05, np.array([0.3]),
+                                  head_budget=EX1_HEAD_BUDGET)
+    assert res.head_bound > 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.72, 0.8, 0.85, 0.9])
 def test_ex1_head_budget_met_within_default_periods(alpha):
     rep = verify_cancellation_ex1(alpha, make_grid(Interval(0.0, 1.0), 501))
