@@ -35,14 +35,15 @@ unless a point lies below y_510, so r, H and the certificate do not
 depend on points above y_510.  A source that vanishes on the deepest
 quarter of the periods is taken to vanish below them.
 
-An edge a > 0 is resolved all the way down when affordable, and an edge
-a < 0 never is (the sign changes accumulate at 0).  Otherwise the window
-above the edge is left out: its period magnitudes are verified to
-decrease with depth, so the window is certified by 1.5 times the deepest
-resolved period integral.  That bound is meaningless for non-alternating
-integrands (e.g. |w|), so ``alternating_ok`` is reported with every
-certificate: at every edge the deepest six period magnitudes must
-decrease with depth.
+An edge a > 0 with at most _FIRST_DEPTH sign changes above it is
+resolved all the way down.  Below a deeper one, the window ∫_a^{y_R} (y-a)·w
+under the level's points is summed like the head, from the partial sums
+of ∫w (whose drift also grows by a step per doubling, as for ex1 at α = 1)
+and ∫y·w.  An edge a < 0 is never resolved (the sign changes accumulate
+at 0): its window is left out and certified by 1.5 times the deepest
+resolved period integral.  Such certificates are meaningless for non-alternating
+integrands (e.g. |w|), so ``alternating_ok`` is reported with every one:
+the deepest six period magnitudes must decrease with depth.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class OscillatoryResult:
     """
 
     values: np.ndarray          # G w at the requested points, summed head included
-    head_bound: float | np.ndarray  # truncation bound of the summed head of A
-                                    # (a = 0), or |unresolved window of A| (a != 0)
+    head_bound: float | np.ndarray  # truncation bound of the summed head (a = 0)
+                                    # or window (a > 0) of A, or |window| (a < 0)
     eps: np.ndarray             # per-point truncation bound propagated from the head
     periods: int                # number of resolved sign intervals
     alternating_ok: bool        # trailing period magnitudes decrease with depth
@@ -101,7 +102,7 @@ def _decreasing(pp) -> bool:
 
 
 def _period_sums(w_fn, alpha: float, k0: int, k1: int) -> np.ndarray:
-    """P_k = ∫ y·w over the sign intervals [y_{k+1}, y_k], k0 <= k < k1.
+    """(∫w, ∫y·w) over the sign intervals [y_{k+1}, y_k], k0 <= k < k1.
 
     Each interval takes SUBPANELS_PER_PERIOD Gauss panels.  Intervals that
     underflow to zero width read 0 without evaluating w.
@@ -111,42 +112,58 @@ def _period_sums(w_fn, alpha: float, k0: int, k1: int) -> np.ndarray:
     live = width > 0.0
     edges = (z[1:][live, None] + width[live, None]
              * (np.arange(SUBPANELS_PER_PERIOD + 1) / SUBPANELS_PER_PERIOD))
-    _, m1 = _panel_moments(w_fn, edges[:, :-1].ravel(), edges[:, 1:].ravel())
-    sums = np.zeros(width.size)
-    sums[live] = m1.reshape(-1, SUBPANELS_PER_PERIOD).sum(axis=1)
+    sums = np.zeros((2, width.size))
+    for row, m in zip(sums, _panel_moments(w_fn, edges[:, :-1].ravel(), edges[:, 1:].ravel())):
+        row[live] = m.reshape(-1, SUBPANELS_PER_PERIOD).sum(axis=1)
     return sums
 
 
-def _extrapolate(S: np.ndarray, nodes, p: int) -> float:
-    """Limit of the partial sums S read off three nodes at dyadic depths.
-
-    Order-p binomial averaging centred on each node removes the
-    alternating part; the power law through the three averaged sums then
-    extrapolates the one-signed drift.
-    """
+def _averaged(S: np.ndarray, n: int, p: int) -> float:
+    """Order-p binomial average of the partial sums S centred on index n."""
     c = p // 2
     weights = np.array([comb(p, i) for i in range(p + 1)]) / 2.0 ** p
-    t0, t1, t2 = (float(weights @ S[n - c:n + c + 1]) for n in nodes)
+    return float(weights @ S[n - c:n + c + 1])
+
+
+def _power_law(t0, t1, t2, n):
+    """t2 plus n more dyadic steps of the geometric drift through t0, t1, t2."""
     d1, d2 = t1 - t0, t2 - t1
     ratio = d2 / d1 if d1 else 0.0
-    return t2 + d2 * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else t2
+    return t2 + d2 * ratio * (1.0 - ratio ** n) / (1.0 - ratio) if 0.0 < ratio < 1.0 else t2
 
 
-def _head_estimate(P: np.ndarray, r: int, K: int):
-    """(Σ_{k>=r} P_k, certificate) from P_k, r <= k < K + _AVERAGING/2.
+def _extrapolate(S: np.ndarray, nodes, p: int, n: float = np.inf) -> float:
+    """The partial sums S read off nodes at dyadic depths, n depths past the last.
 
-    The certificate is at least eps·Σ|P_k|, the rounding of the summed
-    periods, so it never reads 0 while the periods do not vanish.
+    Order-p binomial averaging centred on each node removes the
+    alternating part; the power law through the last three averaged sums
+    then extrapolates the one-signed drift.  With four nodes a drift step
+    per doubling (a log term), the power-law limit of the steps, is taken
+    out first.
     """
-    S = np.concatenate([[0.0], np.cumsum(P)])
-    rounding = np.finfo(float).eps * float(np.sum(np.abs(P)))
-    if not np.any(P[3 * K // 4 - r:]):
-        return float(S[-1]), rounding
-    deep = [K // 4 - r, K // 2 - r, K - r]
-    head = _extrapolate(S, deep, _AVERAGING)
-    shallower = _extrapolate(S, [K // 8 - r, K // 4 - r, K // 2 - r], _AVERAGING)
-    lower_order = _extrapolate(S, deep, _AVERAGING // 2)
-    return head, max(abs(head - shallower) + abs(head - lower_order), rounding)
+    t = [_averaged(S, k, p) for k in nodes]
+    if len(t) == 3:
+        return _power_law(*t, n)
+    step = _power_law(*np.diff(t), np.inf)
+    return _power_law(*(t[1:] - step * np.arange(1, 4)), n) + (3 + n) * step
+
+
+def _estimate(S, r: int, K: int, depth=np.inf, log=False, local=None):
+    """(S at ``depth``, certificate) from the partial sums S from r on.
+
+    Reads the nodes K/4, K/2, K (and K/8 for a ``log`` step) and adds the
+    exact S - S̄ of ``local``, the partial sums around ``depth``.  The
+    certificate is the gap to the estimate from K/2 plus the gap to half
+    the averaging order.
+    """
+    def at(K, p):
+        nodes = [K // 8 - r, K // 4 - r, K // 2 - r, K - r][0 if log else 1:]
+        est = _extrapolate(S, nodes, p, np.log2(depth / K))
+        c = _AVERAGING // 2
+        return est if local is None else est + local[c] - _averaged(local, c, p)
+
+    est = at(K, _AVERAGING)
+    return est, abs(est - at(K // 2, _AVERAGING)) + abs(est - at(K, _AVERAGING // 2))
 
 
 def _summed_head(w_fn, alpha, k_min, k_top, head_budget, max_periods):
@@ -156,8 +173,9 @@ def _summed_head(w_fn, alpha, k_min, k_top, head_budget, max_periods):
     ``max_periods`` cap, and r0 = K/8 - _AVERAGING/2 for the first K.  The
     estimate at depth K sums the periods from r = K/8 - _AVERAGING/2 on, so
     that its estimate at K/2 has room; the periods from r0 to r are added
-    as computed.  Extra depth computes only the new periods.  Returns
-    (r0, H, certificate, resolved periods, alternating_ok).
+    as computed.  Extra depth computes only the new periods.  The
+    certificate is at least eps·Σ|P_k|, the rounding of the summed periods.
+    Returns (r0, H, certificate, resolved periods, alternating_ok).
     """
     c = _AVERAGING // 2
     k_cap = 8 * ((k_min + max_periods - c) // 8)
@@ -170,17 +188,61 @@ def _summed_head(w_fn, alpha, k_min, k_top, head_budget, max_periods):
         raise ResolutionInsufficientError(
             f"the head below the evaluation points needs more than "
             f"{max_periods} periods; raise max_periods")
-    P = _period_sums(w_fn, alpha, r0, K + c)
+    P = _period_sums(w_fn, alpha, r0, K + c)[1]
     while True:
         r = K // 8 - c
-        head, cert = _head_estimate(P[r - r0:], r, K)
+        S = np.concatenate([[0.0], np.cumsum(P[r - r0:])])
+        rounding = np.finfo(float).eps * float(np.sum(np.abs(P[r - r0:])))
+        head, cert = float(S[-1]), rounding
+        if np.any(P[3 * K // 4 - r0:]):     # else w vanishes on the deepest quarter
+            head, gap = _estimate(S, r, K)
+            cert = max(gap, rounding)
         if cert <= head_budget or K == k_cap:
             break
         deeper = min(2 * K, k_cap)
-        P = np.concatenate([P, _period_sums(w_fn, alpha, K + c, deeper + c)])
+        P = np.concatenate([P, _period_sums(w_fn, alpha, K + c, deeper + c)[1]])
         K = deeper
     return (r0, float(np.sum(P[:r - r0])) + head, cert, K + c - k_min,
             _decreasing(np.abs(P[:-7:-1])))
+
+
+def _summed_window(w_fn, alpha, a, k_a, R, k_min, store, head_budget, max_periods):
+    """Sum the window ∫_a^{y_R} (y-a)·w, y_{k_a} >= a > y_{k_a+1} and R <= k_a.
+
+    It is S1 - a·S0 at k_a minus the same at R, plus the partial period
+    above a, with S0, S1 the sums of ∫w, ∫y·w from r0 = K/16 - 2 for the
+    first K on, which ``store`` shares between levels.  K doubles up to
+    the ``max_periods`` cap until k_a <= K (exact) or the certificate, at
+    least the rounding of the summed periods, meets ``head_budget``.
+    Returns (window, certificate, resolved periods, alternating_ok).
+    """
+    c = _AVERAGING // 2
+    r0, K = _FIRST_DEPTH // 16 - c, _FIRST_DEPTH
+    k_cap = max(K, 16 * ((k_min + max_periods - c) // 16))
+    local = np.cumsum(np.pad(_period_sums(w_fn, alpha, k_a - c, k_a + c),
+                             ((0, 0), (1, 0))), axis=1)
+    ok = True
+    while True:
+        end = r0 + store[0].shape[1]
+        if end < max(K + c, R):
+            store[0] = np.concatenate([store[0], _period_sums(w_fn, alpha, end, max(K + c, R))],
+                                      axis=1)
+            store[1] = np.cumsum(np.pad(store[0], ((0, 0), (1, 0))), axis=1)
+        P, S = store
+        rounding = np.finfo(float).eps * np.sum(np.abs(P[:, :K + c - r0]), axis=1) @ (a, 1.0)
+        if k_a <= K:
+            win, cert = S[1, k_a - r0] - a * S[0, k_a - r0], rounding
+            break
+        (s0, g0), (s1, g1) = (_estimate(S[j], r0, K, k_a, j == 0, local[j]) for j in (0, 1))
+        win, cert = s1 - a * s0, max(g1 + a * g0, rounding)
+        if cert <= head_budget or K == k_cap:
+            tail = P[:, K + c - r0 - 6:K + c - r0]
+            ok = _decreasing(np.abs(tail[1] - a * tail[0])[::-1])
+            break
+        K = min(2 * K, k_cap)
+    partial = _panel_moments(w_fn, np.array([a]), np.array([k_a ** (-1.0 / alpha)]), origin=a)
+    return (win - (S[1, R - r0] - a * S[0, R - r0]) + partial[1][0], cert,
+            max(K + c, R) - k_min, ok)
 
 
 def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
@@ -192,9 +254,10 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     head of A below the evaluation points is summed by series acceleration
     and added to the values; its depth doubles until the certificate of
     that sum drops under ``head_budget`` (or ``max_periods`` is hit).  For
-    a > 0 the integral is resolved all the way down to a when affordable;
-    otherwise, and always for a < 0, the unresolved window above a is left
-    out and certified by its deepest period.  These certificates (``eps``,
+    a > 0 the integral is resolved down to a when at most _FIRST_DEPTH
+    sign changes lie above a; a deeper window is summed the same way, to
+    the same budget.  For a < 0 the window above a is left out and
+    certified by its deepest period.  These certificates (``eps``,
     ``head_bound``) bound truncation only; the rounding of the running
     moments, about 1e-16 relative, is left out.
 
@@ -217,7 +280,7 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
         return fv
 
     # the sign changes of each level's main pass, and the summed heads
-    ranges, counts = [], []
+    ranges, counts, windowed, store = [], [], set(), [np.zeros((2, 0))] * 2
     head = np.zeros(a_lv.size)
     summed = np.zeros(a_lv.size)
     alternating_ok = True
@@ -228,11 +291,20 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
             k_top = int(np.floor(xs[0] ** -alpha)) + 1 if xs.size and xs[0] > 0 else 1
             k_max, summed[lv], head[lv], resolved, ok = _summed_head(
                 checked, alpha, k_min, max(k_min, k_top), head_budget, max_periods)
-            alternating_ok &= ok
-            counts.append(resolved + 1)
+        elif am > 0.0 and (k_a := int(np.floor(am ** -alpha + 1e-12))) > _FIRST_DEPTH:
+            # the main pass stops at a sign change y_R below the level's
+            # points, and the window from y_R down to a is summed
+            above = xs[xs > am]
+            k_top = int(np.floor(above[0] ** -alpha)) + 2 if above.size else 1
+            k_max = min(k_a, max(k_top, k_min, _FIRST_DEPTH // 16 - _AVERAGING // 2))
+            summed[lv], head[lv], resolved, ok = _summed_window(
+                checked, alpha, am, k_a, k_max, k_min, store, head_budget, max_periods)
+            windowed.add(lv)
         else:
-            counts.append(max(0, k_max - k_min + 1))
-        ranges.append((k_min, k_max, (not capped) and am > 0.0))
+            resolved, ok = k_max - k_min, True
+        alternating_ok &= ok
+        counts.append(max(0, resolved + 1))
+        ranges.append((k_min, k_max, not capped and am > 0.0 and lv not in windowed))
     live = [rg for rg in ranges if rg[1] >= rg[0]]
     if live:
         k_lo = min(rg[0] for rg in live)
@@ -268,9 +340,9 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
 
     vals, M0, M1 = _two_moment_levels(checked, breaks, xs, y_bot, a_lv, b_lv)
 
-    # windows above an edge a != 0 that were not resolved down to it
+    # windows above an edge a != 0 that were neither resolved down to it nor summed
     for lv, ((k_min, k_max, edge), am) in enumerate(zip(ranges, a_lv)):
-        if edge or am == 0.0 or k_max < k_min:
+        if edge or am == 0.0 or lv in windowed or k_max < k_min:
             continue
         j0 = k_hi - k_max
         zi = np.searchsorted(breaks, zeros[j0:j0 + min(7, k_max - k_min + 1)])
@@ -280,8 +352,7 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
         head[lv] = 1.5 * float(pp[0]) if pp.size else np.inf
 
     al, bl = a_lv[:, None], b_lv[:, None]
-    at_zero = a_lv == 0.0
-    vals[at_zero] += summed[at_zero, None] * (bl[at_zero] - xs) / bl[at_zero]
+    vals += summed[:, None] * (bl - xs) / (bl - al)
     eps = np.where(np.isnan(vals), np.nan, head[:, None] * (bl - xs) / (bl - al))
     periods = max(0, max(counts) - 1)
     if single:

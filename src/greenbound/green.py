@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_CHUNK_PANELS = 1 << 15     # panels per source evaluation (8 Gauss points each)
+_CHUNK_PANELS = 1 << 10     # panels per source evaluation: 8,192 points, 64 KB temporaries
 
 REFINE_PANELS = 24
 _MAX_LEVELS = 60            # deepest dyadic node of an attached expression

@@ -54,6 +54,7 @@ FIT_WINDOW = (1e-3, 1e-2)   # boundary-distance window, in units of the length
 FIT_MIN_NODES = 8
 BOUNDED_SLOPE = 0.1         # |fitted slope| below this classifies as bounded
 EX1_HEAD_BUDGET = 5e-11     # oscillatory head budget of the alpha < 1 check
+EX1_WINDOW_BUDGET = 1e-8    # exhaustion window budget of the alpha = 1 check
 
 # id: (interval, every parameter the scenario reads with its default)
 SCENARIOS = {
@@ -376,9 +377,12 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     sequence over (δ_m, 1-δ_m), δ_m = 2^{-m-2}, m = levels[0]..levels[1],
     is evaluated at probe points spanning [1e-4, 1e-2], and the growth of
     G(hV)/x together with the flatness of G(hV)/(x log(1/x)) is reported.
-    Every level comes from one pass of two running moments over the
-    deepest level's panels (see :mod:`greenbound._oscillate`); a probe
-    outside a level reads NaN in that level's entry of the sequence.
+    Every level comes from one pass of two running moments down to a sign
+    change below the probes; the window from there down to each δ_m is
+    summed across dyadic depths (see :mod:`greenbound._oscillate`), and
+    ``head_budget_met`` says whether every level met EX1_WINDOW_BUDGET
+    within ``max_periods``.  A probe outside a level reads NaN in that
+    level's entry of the sequence.
 
     Both modes report whether the alternation check behind the head
     certificate held (``alternating_ok``) and how many sign intervals were
@@ -389,7 +393,9 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
     ScenarioSpec("ex1", grid, alpha=alpha)
     fns = ex1_functions(alpha)
 
-    positivity_min = float(np.min(fns["D"](_positivity_scan())))
+    scan = _positivity_scan()       # in blocks, to keep the temporaries small
+    positivity_min = min(float(np.min(fns["D"](scan[i:i + 8192])))
+                         for i in range(0, scan.size, 8192))
 
     report = Ex1CancellationReport(alpha=alpha, positivity_min=positivity_min)
 
@@ -439,12 +445,14 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
         cols = cols[np.argsort(probes[cols], kind="stable")]
         r = green_apply_oscillatory(fns["hV"], alpha, probes[cols],
                                     a=deltas, b=1.0 - deltas,
+                                    head_budget=EX1_WINDOW_BUDGET,
                                     max_periods=max_periods)
         vals[:, cols] = r.values
         eps[:, cols] = r.eps
         vals[~inside] = np.nan
         report.alternating_ok = r.alternating_ok
         report.periods = r.periods
+        report.head_budget_met = bool(np.all(r.head_bound <= EX1_WINDOW_BUDGET))
     seq = list(vals)
     final = seq[-1]
     if not np.all(np.isfinite(final)):

@@ -7,7 +7,7 @@ from greenbound import (GridFn, Interval, InvalidScenarioError, Kernel,
                         make_grid, potential, sample, sharpness_report_ex4,
                         thm1_bound, verify_cancellation_ex1)
 from greenbound._oscillate import green_apply_oscillatory
-from greenbound.scenarios import EX1_HEAD_BUDGET
+from greenbound.scenarios import EX1_HEAD_BUDGET, EX1_WINDOW_BUDGET
 from greenbound.bvp import laplacian_1d
 
 
@@ -286,7 +286,8 @@ def test_ex1_single_trig_bitwise(alpha):
 def test_ex1_levels_pass_matches_single_level_passes():
     # one call over all exhaustion levels against one call per level; the
     # probe at 1e-5 lies outside the shallow levels and must stay NaN there,
-    # and max_periods caps the two deepest levels, which carry a head
+    # and the windows of the deeper levels are summed, each from its own
+    # edge and the budget, so they carry a certificate
     probes = np.array([1e-5, 1e-3])
     levels, max_periods = (12, 16), 100_000
     grid = make_grid(Interval(0.0, 1.0), 801)
@@ -299,7 +300,8 @@ def test_ex1_levels_pass_matches_single_level_passes():
         delta = 2.0 ** (-(m + 2))
         inside = (probes > delta * 1.5) & (probes < 1.0 - delta * 1.5)
         r = green_apply_oscillatory(hV, 1.0, probes[inside], a=delta,
-                                    b=1.0 - delta, max_periods=max_periods)
+                                    b=1.0 - delta, head_budget=EX1_WINDOW_BUDGET,
+                                    max_periods=max_periods)
         assert np.all(np.isnan(got[~inside]))
         np.testing.assert_allclose(got[inside], r.values, rtol=1e-12, atol=0)
         worst = max(worst, float(np.max(r.eps)))
@@ -341,18 +343,22 @@ def test_ex1_coarse_readoff_matches_coarse_pass(alpha):
     assert rep.certified_remainder == res.head_bound
 
 
-def _brute_ex1_green(alpha, xs, periods=2 ** 17):
-    """G(hV) at xs from Gauss panels on every sign interval down to y_N.
+def _brute_ex1_green(alpha, xs, periods=2 ** 17, a=0.0):
+    """G(hV) on (a, 1 - a) at xs from Gauss panels on every sign interval down to y_N.
 
     N = periods + 1 and y_k = k^{-1/alpha}.  Every interval between sign
-    changes, points and a 0.005 fill is split in two 8-point Gauss panels.
-    The partial sums down to y_{N-1} and to y_N bracket the limit.  Returns
-    the middle of that bracket and its half-width.
+    changes, points, edges and a 0.005 fill is split in two 8-point Gauss
+    panels.  For a = 0 the partial sums down to y_{N-1} and y_N bracket the
+    limit; the middle of that bracket and its half-width are returned.  An
+    edge a > y_{N+1} (or an array of them, one row each) is summed down to
+    exactly, and its half-width is 0.
     """
     hV = ex1_functions(alpha)["hV"]
     gx, gw = np.polynomial.legendre.leggauss(8)
     zeros = np.arange(1, periods + 2, dtype=float) ** (-1.0 / alpha)
-    edges = np.unique(np.concatenate([zeros, xs, np.linspace(0.0, 1.0, 201)[1:]]))
+    cuts = np.ravel(a)[np.ravel(a) > 0.0]
+    edges = np.unique(np.concatenate([zeros, xs, np.linspace(0.0, 1.0, 201)[1:],
+                                      cuts, 1.0 - cuts]))
     edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     m0, m1 = [], []
     for lo, hi in zip(np.array_split(edges[:-1], 16), np.array_split(edges[1:], 16)):
@@ -362,11 +368,19 @@ def _brute_ex1_green(alpha, xs, periods=2 ** 17):
         m0.append(f.sum(axis=1))
         m1.append((y * f).sum(axis=1))
     m0, m1 = np.concatenate(m0), np.concatenate(m1)
-    below = edges[1:, None] <= xs
-    A = np.sum(np.where(below, m1[:, None], 0.0), axis=0)
-    B = np.sum(np.where(below, 0.0, (m0 - m1)[:, None]), axis=0)
+    rows = []
+    for am in np.ravel(a):
+        bm = 1.0 - am
+        (i_a, i_b), i_x = np.searchsorted(edges, [am, bm]), np.searchsorted(edges, xs)
+        A = np.array([np.sum(m1[i_a:i] - am * m0[i_a:i]) for i in i_x])
+        B = np.array([np.sum(bm * m0[i:i_b] - m1[i:i_b]) for i in i_x])
+        rows.append(((bm - xs) * A + (xs - am) * B) / (bm - am))
+    if np.ndim(a):
+        return np.array(rows), 0.0
+    if a > 0.0:
+        return rows[0], 0.0
     deepest = (1.0 - xs) * (m1[0] + m1[1])   # the deepest interval's two panels
-    return (1.0 - xs) * A + xs * B - 0.5 * deepest, 0.5 * np.abs(deepest)
+    return rows[0] - 0.5 * deepest, 0.5 * np.abs(deepest)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.6])
@@ -382,6 +396,48 @@ def test_ex1_summed_head_against_brute_force_periods(alpha):
     assert res.periods < 2 ** 17
     rounding = 1e-14 * np.max(np.abs(ref))
     assert np.all(np.abs(res.values - ref) <= res.head_bound + half_bracket + rounding)
+
+
+def test_ex1_summed_windows_against_brute_force_periods():
+    # at alpha = 1 the windows of levels 12..17 against every sign interval
+    # summed down to each edge a_m = 2^-(m+2): both agree within the window
+    # certificate, up to the rounding of two panel layouts
+    xs = np.array([1e-3, 1e-2])
+    deltas = 2.0 ** -(np.arange(12, 18) + 2.0)
+    res = green_apply_oscillatory(ex1_functions(1.0)["hV"], 1.0, xs, a=deltas,
+                                  b=1.0 - deltas, head_budget=EX1_WINDOW_BUDGET,
+                                  max_periods=400_000)
+    ref, half_bracket = _brute_ex1_green(1.0, xs, periods=2 ** 19 - 1, a=deltas)
+    assert res.periods < 2 ** 17 and np.all(res.head_bound <= EX1_WINDOW_BUDGET)
+    rounding = 1e-14 * np.max(np.abs(ref))
+    assert np.all(np.abs(res.values - ref) <= res.eps + half_bracket + rounding)
+
+
+def test_ex1_summed_window_adds_the_partial_period_above_its_edge():
+    # an edge halfway between two sign changes: the window is read off the
+    # sign changes down to y_10000 plus the half period between it and a
+    a = 1.0 / 10000.5
+    xs = np.array([1e-3, 1e-2])
+    res = green_apply_oscillatory(ex1_functions(1.0)["hV"], 1.0, xs, a=a, b=1.0 - a,
+                                  head_budget=EX1_WINDOW_BUDGET)
+    ref, _ = _brute_ex1_green(1.0, xs, periods=10_001, a=a)
+    assert np.all(np.abs(res.values - ref) <= res.eps + 1e-14 * np.max(np.abs(ref)))
+
+
+def test_ex1_alpha1_memory_stays_small():
+    # the summed windows need 65,536 periods, evaluated 1,024 panels at a
+    # time; resolving every period down to the deepest edge held the panels
+    # of 400,000 of them at once
+    import tracemalloc
+
+    grid = make_grid(Interval(0.0, 1.0), 2001)
+    tracemalloc.start()
+    try:
+        verify_cancellation_ex1(1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 def test_ex1_head_certificate_keeps_the_rounding():
@@ -411,9 +467,9 @@ def test_ex1_summary_reports_head_diagnostics():
     one = verify_cancellation_ex1(1.0, grid, probes=np.array([1e-3, 1e-2]),
                                   levels=(12, 14)).summary()
     assert isinstance(one["alternating_ok"], bool)
-    assert one["periods"] == 2 ** 16 - 2
+    assert one["periods"] == 2 ** 15
     assert {"growth_factor", "improper_values", "probes"} <= one.keys()
-    assert "head_budget_met" not in one
+    assert one["head_budget_met"] is True
     assert one["schema"] == half["schema"] == "greenbound/1"
 
 
