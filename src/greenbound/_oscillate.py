@@ -35,15 +35,17 @@ unless a point lies below y_510, so r, H and the certificate do not
 depend on points above y_510.  A source that vanishes on the deepest
 quarter of the periods is taken to vanish below them.
 
-An edge a > 0 with at most _FIRST_DEPTH sign changes above it is
-resolved all the way down.  Below a deeper one, the window ∫_a^{y_R} (y-a)·w
-under the level's points is summed like the head, from the partial sums
-of ∫w (whose drift also grows by a step per doubling, as for ex1 at α = 1)
-and ∫y·w.  An edge a < 0 is never resolved (the sign changes accumulate
-at 0): its window is left out and certified by 1.5 times the deepest
-resolved period integral.  Such certificates are meaningless for non-alternating
-integrands (e.g. |w|), so ``alternating_ok`` is reported with every one:
-the deepest six period magnitudes must decrease with depth.
+An edge a > 0 is resolved all the way down when at most _FIRST_DEPTH
+sign changes lie above it, or when a point lies below the last of them.
+Below any other edge a > 0, the window ∫_a^{y_R} (y-a)·w under the
+level's points is summed like the head, from the partial sums of ∫w
+(whose drift also grows by a step per doubling, as for ex1 at α = 1) and
+∫y·w.  An edge a < 0 is never resolved (the sign changes accumulate at
+0): its window is left out and certified by 1.5 times the deepest
+resolved period integral.  Summed or not, such certificates are
+meaningless for non-alternating integrands (e.g. |w|), so
+``alternating_ok`` is reported with every one: the deepest six period
+magnitudes must decrease with depth.
 """
 
 from __future__ import annotations
@@ -118,13 +120,6 @@ def _period_sums(w_fn, alpha: float, k0: int, k1: int) -> np.ndarray:
     return sums
 
 
-def _averaged(S: np.ndarray, n: int, p: int) -> float:
-    """Order-p binomial average of the partial sums S centred on index n."""
-    c = p // 2
-    weights = np.array([comb(p, i) for i in range(p + 1)]) / 2.0 ** p
-    return float(weights @ S[n - c:n + c + 1])
-
-
 def _power_law(t0, t1, t2, n):
     """t2 plus n more dyadic steps of the geometric drift through t0, t1, t2."""
     d1, d2 = t1 - t0, t2 - t1
@@ -141,26 +136,25 @@ def _extrapolate(S: np.ndarray, nodes, p: int, n: float = np.inf) -> float:
     per doubling (a log term), the power-law limit of the steps, is taken
     out first.
     """
-    t = [_averaged(S, k, p) for k in nodes]
+    c = p // 2
+    weights = np.array([comb(p, i) for i in range(p + 1)]) / 2.0 ** p
+    t = [float(weights @ S[n - c:n + c + 1]) for n in nodes]
     if len(t) == 3:
         return _power_law(*t, n)
     step = _power_law(*np.diff(t), np.inf)
     return _power_law(*(t[1:] - step * np.arange(1, 4)), n) + (3 + n) * step
 
 
-def _estimate(S, r: int, K: int, depth=np.inf, log=False, local=None):
+def _estimate(S, r: int, K: int, depth=np.inf, log=False):
     """(S at ``depth``, certificate) from the partial sums S from r on.
 
-    Reads the nodes K/4, K/2, K (and K/8 for a ``log`` step) and adds the
-    exact S - S̄ of ``local``, the partial sums around ``depth``.  The
+    Reads the nodes K/4, K/2, K (and K/8 for a ``log`` step).  The
     certificate is the gap to the estimate from K/2 plus the gap to half
     the averaging order.
     """
     def at(K, p):
         nodes = [K // 8 - r, K // 4 - r, K // 2 - r, K - r][0 if log else 1:]
-        est = _extrapolate(S, nodes, p, np.log2(depth / K))
-        c = _AVERAGING // 2
-        return est if local is None else est + local[c] - _averaged(local, c, p)
+        return _extrapolate(S, nodes, p, np.log2(depth / K))
 
     est = at(K, _AVERAGING)
     return est, abs(est - at(K // 2, _AVERAGING)) + abs(est - at(K, _AVERAGING // 2))
@@ -207,33 +201,34 @@ def _summed_head(w_fn, alpha, k_min, k_top, head_budget, max_periods):
 
 
 def _summed_window(w_fn, alpha, a, k_a, R, k_min, store, head_budget, max_periods):
-    """Sum the window ∫_a^{y_R} (y-a)·w, y_{k_a} >= a > y_{k_a+1} and R <= k_a.
+    """Sum the window ∫_a^{y_D} (y-a)·w, y_{k_a} >= a > y_{k_a+1}, D = min(R, K + 2).
 
-    It is S1 - a·S0 at k_a minus the same at R, plus the partial period
+    It is S1 - a·S0 at k_a minus the same at D, plus the partial period
     above a, with S0, S1 the sums of ∫w, ∫y·w from r0 = K/16 - 2 for the
-    first K on, which ``store`` shares between levels.  K doubles up to
-    the ``max_periods`` cap until k_a <= K (exact) or the certificate, at
-    least the rounding of the summed periods, meets ``head_budget``.
-    Returns (window, certificate, resolved periods, alternating_ok).
+    first K on, which ``store`` shares between levels.  The main pass down
+    to y_R (R <= k_a) adds the periods between y_R and y_D.  The estimate
+    aims at the binomial average of S1 - a·S0 around k_a, which differs
+    from it by O(w·|y_{k_a} - y_{k_a+1}|²) since (y-a)·w vanishes at the
+    edge.  K doubles up to the ``max_periods`` cap until k_a <= K (exact)
+    or the certificate, at least the rounding of the summed periods, meets
+    ``head_budget``.  Returns (D, window, certificate, resolved periods,
+    alternating_ok).
     """
     c = _AVERAGING // 2
     r0, K = _FIRST_DEPTH // 16 - c, _FIRST_DEPTH
     k_cap = max(K, 16 * ((k_min + max_periods - c) // 16))
-    local = np.cumsum(np.pad(_period_sums(w_fn, alpha, k_a - c, k_a + c),
-                             ((0, 0), (1, 0))), axis=1)
     ok = True
     while True:
         end = r0 + store[0].shape[1]
-        if end < max(K + c, R):
-            store[0] = np.concatenate([store[0], _period_sums(w_fn, alpha, end, max(K + c, R))],
-                                      axis=1)
+        if end < K + c:
+            store[0] = np.concatenate([store[0], _period_sums(w_fn, alpha, end, K + c)], axis=1)
             store[1] = np.cumsum(np.pad(store[0], ((0, 0), (1, 0))), axis=1)
         P, S = store
         rounding = np.finfo(float).eps * np.sum(np.abs(P[:, :K + c - r0]), axis=1) @ (a, 1.0)
         if k_a <= K:
             win, cert = S[1, k_a - r0] - a * S[0, k_a - r0], rounding
             break
-        (s0, g0), (s1, g1) = (_estimate(S[j], r0, K, k_a, j == 0, local[j]) for j in (0, 1))
+        (s0, g0), (s1, g1) = (_estimate(S[j], r0, K, k_a, j == 0) for j in (0, 1))
         win, cert = s1 - a * s0, max(g1 + a * g0, rounding)
         if cert <= head_budget or K == k_cap:
             tail = P[:, K + c - r0 - 6:K + c - r0]
@@ -241,7 +236,8 @@ def _summed_window(w_fn, alpha, a, k_a, R, k_min, store, head_budget, max_period
             break
         K = min(2 * K, k_cap)
     partial = _panel_moments(w_fn, np.array([a]), np.array([k_a ** (-1.0 / alpha)]), origin=a)
-    return (win - (S[1, R - r0] - a * S[0, R - r0]) + partial[1][0], cert,
+    D = min(R, K + c)
+    return (D, win - (S[1, D - r0] - a * S[0, D - r0]) + partial[1][0], cert,
             max(K + c, R) - k_min, ok)
 
 
@@ -255,9 +251,11 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     and added to the values; its depth doubles until the certificate of
     that sum drops under ``head_budget`` (or ``max_periods`` is hit).  For
     a > 0 the integral is resolved down to a when at most _FIRST_DEPTH
-    sign changes lie above a; a deeper window is summed the same way, to
-    the same budget.  For a < 0 the window above a is left out and
-    certified by its deepest period.  These certificates (``eps``,
+    sign changes lie above a, or a point lies below the last of them;
+    otherwise the window below the points is summed the same way, to the
+    same budget.  ``max_periods`` caps the sign changes of each level, at
+    least _FIRST_DEPTH for a > 0.  For a < 0 the window above a is left
+    out and certified by its deepest period.  These certificates (``eps``,
     ``head_bound``) bound truncation only; the rounding of the running
     moments, about 1e-16 relative, is left out.
 
@@ -280,31 +278,33 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
         return fv
 
     # the sign changes of each level's main pass, and the summed heads
-    ranges, counts, windowed, store = [], [], set(), [np.zeros((2, 0))] * 2
+    ranges, counts, store, depths = [], [], [np.zeros((2, 0))] * 2, {}
     head = np.zeros(a_lv.size)
     summed = np.zeros(a_lv.size)
     alternating_ok = True
     for lv, (am, bm) in enumerate(zip(a_lv, b_lv)):
-        k_min, k_max, capped = _zero_range(alpha, am, bm, max_periods)
+        # an edge a > 0 is resolved down to or summed, from _FIRST_DEPTH periods
+        cap = max(max_periods, _FIRST_DEPTH) if am > 0.0 else max_periods
+        k_min, k_max, _ = _zero_range(alpha, am, bm, cap)
+        resolved, ok, edge = k_max - k_min, True, am > 0.0
         if am == 0.0:
             # the summed head starts at a sign change below every point
             k_top = int(np.floor(xs[0] ** -alpha)) + 1 if xs.size and xs[0] > 0 else 1
             k_max, summed[lv], head[lv], resolved, ok = _summed_head(
                 checked, alpha, k_min, max(k_min, k_top), head_budget, max_periods)
-        elif am > 0.0 and (k_a := int(np.floor(am ** -alpha + 1e-12))) > _FIRST_DEPTH:
+        elif edge and k_max > _FIRST_DEPTH:
             # the main pass stops at a sign change y_R below the level's
             # points, and the window from y_R down to a is summed
             above = xs[xs > am]
             k_top = int(np.floor(above[0] ** -alpha)) + 2 if above.size else 1
-            k_max = min(k_a, max(k_top, k_min, _FIRST_DEPTH // 16 - _AVERAGING // 2))
-            summed[lv], head[lv], resolved, ok = _summed_window(
-                checked, alpha, am, k_a, k_max, k_min, store, head_budget, max_periods)
-            windowed.add(lv)
-        else:
-            resolved, ok = k_max - k_min, True
+            R = min(k_max, max(k_top, k_min, _FIRST_DEPTH // 16 - _AVERAGING // 2))
+            if R < (k_a := int(np.floor(am ** -alpha + 1e-12))):
+                depths[lv], summed[lv], head[lv], resolved, ok = _summed_window(
+                    checked, alpha, am, k_a, R, k_min, store, head_budget, cap)
+                k_max, edge = R, False
         alternating_ok &= ok
         counts.append(max(0, resolved + 1))
-        ranges.append((k_min, k_max, not capped and am > 0.0 and lv not in windowed))
+        ranges.append((k_min, k_max, edge))
     live = [rg for rg in ranges if rg[1] >= rg[0]]
     if live:
         k_lo = min(rg[0] for rg in live)
@@ -340,9 +340,14 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
 
     vals, M0, M1 = _two_moment_levels(checked, breaks, xs, y_bot, a_lv, b_lv)
 
-    # windows above an edge a != 0 that were neither resolved down to it nor summed
-    for lv, ((k_min, k_max, edge), am) in enumerate(zip(ranges, a_lv)):
-        if edge or am == 0.0 or lv in windowed or k_max < k_min:
+    # summed windows below a point: the periods between y_R and y_D
+    for lv, D in depths.items():
+        zi = np.searchsorted(breaks, zeros[[k_hi - ranges[lv][1], k_hi - D]])
+        summed[lv] -= np.diff(M1[zi])[0] - a_lv[lv] * np.diff(M0[zi])[0]
+
+    # windows above an edge a < 0, left out
+    for lv, ((k_min, k_max, _), am) in enumerate(zip(ranges, a_lv)):
+        if am >= 0.0 or k_max < k_min:
             continue
         j0 = k_hi - k_max
         zi = np.searchsorted(breaks, zeros[j0:j0 + min(7, k_max - k_min + 1)])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from greenbound import (GridFn, Interval, InvalidScenarioError, Kernel,
-                        ScenarioSpec, WindowTooSmallError, build_scenario,
+                        ResolutionInsufficientError, ScenarioSpec,
+                        WindowTooSmallError, build_scenario,
                         ex1_functions, ex4_functions, fit_boundary_rate,
                         make_grid, potential, sample, sharpness_report_ex4,
                         thm1_bound, verify_cancellation_ex1)
@@ -401,16 +402,21 @@ def test_ex1_summed_head_against_brute_force_periods(alpha):
 def test_ex1_summed_windows_against_brute_force_periods():
     # at alpha = 1 the windows of levels 12..17 against every sign interval
     # summed down to each edge a_m = 2^-(m+2): both agree within the window
-    # certificate, up to the rounding of two panel layouts
-    xs = np.array([1e-3, 1e-2])
+    # certificate, up to the rounding of two panel layouts.  The probe at
+    # 1e-5, inside levels 15 to 17 only, takes their main pass below the
+    # summed periods, down to y_100002
+    xs = np.array([1e-5, 1e-3, 1e-2])
     deltas = 2.0 ** -(np.arange(12, 18) + 2.0)
     res = green_apply_oscillatory(ex1_functions(1.0)["hV"], 1.0, xs, a=deltas,
                                   b=1.0 - deltas, head_budget=EX1_WINDOW_BUDGET,
                                   max_periods=400_000)
     ref, half_bracket = _brute_ex1_green(1.0, xs, periods=2 ** 19 - 1, a=deltas)
     assert res.periods < 2 ** 17 and np.all(res.head_bound <= EX1_WINDOW_BUDGET)
+    inside = ~np.isnan(res.values)
+    assert np.array_equal(inside[:, 0], deltas < 1e-5) and np.all(inside[:, 1:])
     rounding = 1e-14 * np.max(np.abs(ref))
-    assert np.all(np.abs(res.values - ref) <= res.eps + half_bracket + rounding)
+    assert np.all(np.abs(res.values - ref)[inside]
+                  <= (res.eps + half_bracket + rounding)[inside])
 
 
 def test_ex1_summed_window_adds_the_partial_period_above_its_edge():
@@ -422,6 +428,39 @@ def test_ex1_summed_window_adds_the_partial_period_above_its_edge():
                                   head_budget=EX1_WINDOW_BUDGET)
     ref, _ = _brute_ex1_green(1.0, xs, periods=10_001, a=a)
     assert np.all(np.abs(res.values - ref) <= res.eps + 1e-14 * np.max(np.abs(ref)))
+
+
+def test_ex1_point_above_the_partial_period_keeps_the_edge_resolved():
+    # a point between an edge a and the last sign change y_10000 above it:
+    # that level's main pass runs down to a, in one call with a summed level
+    a = np.array([1.0 / 10000.5, 2.0 ** -14])
+    xs = np.array([9.9997e-5, 1e-2])
+    res = green_apply_oscillatory(ex1_functions(1.0)["hV"], 1.0, xs, a=a, b=1.0 - a,
+                                  head_budget=EX1_WINDOW_BUDGET)
+    ref, _ = _brute_ex1_green(1.0, xs, periods=10_001, a=a[0])
+    assert res.head_bound[0] == 0.0 and res.head_bound[1] > 0.0
+    np.testing.assert_allclose(res.values[0], ref, rtol=1e-12, atol=0)
+
+
+def test_ex1_summed_windows_stop_at_max_periods():
+    # level 20's probe at 4e-7 lies below y_{400,002}, the deepest sign change
+    # that max_periods lets the main pass reach
+    grid = make_grid(Interval(0.0, 1.0), 401)
+    with pytest.raises(ResolutionInsufficientError, match="raise max_periods"):
+        verify_cancellation_ex1(1.0, grid, probes=np.array([4e-7]), max_periods=400_000)
+
+
+def test_oscillatory_window_below_a_negative_edge_is_certified():
+    # an edge a < 0 leaves the window below y_{1001} out; its certificate,
+    # 1.5 times the deepest period, bounds the gap to a pass 100 times deeper
+    w = lambda y: y * np.sin(np.pi / y)
+    xs = np.array([0.01, 0.3])
+    res = green_apply_oscillatory(w, 1.0, xs, a=-0.5, b=1.0, max_periods=1_000)
+    ref = green_apply_oscillatory(w, 1.0, xs, a=-0.5, b=1.0, max_periods=100_000)
+    gap = np.abs(res.values - ref.values)
+    assert res.alternating_ok and res.periods == 1_000
+    assert np.all(gap <= res.eps) and np.all(gap >= 0.1 * res.eps)
+    assert np.all(ref.eps <= 1e-5 * res.eps)
 
 
 def test_ex1_alpha1_memory_stays_small():
