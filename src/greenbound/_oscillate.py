@@ -17,35 +17,32 @@ moments.  The read-off is :mod:`greenbound.green`'s, shared with its
 improper potentials; it evaluates w in fixed-size chunks, so peak memory
 does not grow with the number of resolved periods.
 
-At an edge a = 0 the head H = ∫_0^{y_r} y·w below a sign change y_r under
-every evaluation point is summed, not truncated.  Its period integrals
-P_k = ∫_{y_{k+1}}^{y_k} y·w are an alternating series plus a one-signed
-drift (for ex1 the sin² terms of 1/D).  Binomial averaging of the partial
-sums at sign changes removes the alternating part, and the power law
-through the averaged sums at depths K/4, K/2 and K extrapolates the drift
-(cf. Cohen, Rodriguez Villegas & Zagier, Exp. Math. 9, 2000; Sidi,
-*Practical Extrapolation Methods*, 2003).  H is added to A, and its
-certificate is the gap to the same estimate one depth shallower (K/2)
-plus the gap to half the averaging order, and at least the rounding
-eps·Σ|P_k| of the summed periods.  The depth K doubles until the
-certificate meets ``head_budget``; the estimate at depth K reads the
-periods below y_{K/8-2}, and the periods between y_r and y_{K/8-2} are
-added as computed.  r = K/8 - 2 for the first K, and that K is 4,096
-unless a point lies below y_510, so r, H and the certificate do not
-depend on points above y_510.  A source that vanishes on the deepest
-quarter of the periods is taken to vanish below them.
-
-An edge a > 0 is resolved all the way down when at most _FIRST_DEPTH
-sign changes lie above it, or when a point lies below the last of them.
-Below any other edge a > 0, the window ∫_a^{y_R} (y-a)·w under the
-level's points is summed like the head, from the partial sums of ∫w
-(whose drift also grows by a step per doubling, as for ex1 at α = 1) and
-∫y·w.  An edge a < 0 is never resolved (the sign changes accumulate at
-0): its window is left out and certified by 1.5 times the deepest
-resolved period integral.  Summed or not, such certificates are
-meaningless for non-alternating integrands (e.g. |w|), so
-``alternating_ok`` is reported with every one: the deepest six period
-magnitudes must decrease with depth.
+Below an edge a = 0 the sign changes accumulate, so the head of A below
+a sign change y_R under every evaluation point is summed, not truncated.
+An edge a > 0 with more than _FIRST_DEPTH sign changes above it is summed
+the same way unless a point lies below the last of them, y_{k_a} >= a;
+then it is resolved down to a.  The head is the window ∫_a^{y_R} (y-a)·w
+with a = 0 and k_a = ∞.  The window is S1 - a·S0 at k_a minus the same at
+R, plus the partial period between a and y_{k_a}, where S0 and S1 are the
+partial sums of the period integrals of ∫w and ∫y·w.  Those periods are an
+alternating series plus a one-signed drift (for ex1 the sin² terms of
+1/D).  Binomial averaging of the partial sums at sign changes removes the
+alternating part, and the power law through the averaged sums at depths
+K/4, K/2 and K extrapolates the drift out to k_a (cf. Cohen, Rodriguez
+Villegas & Zagier, Exp. Math. 9, 2000; Sidi, *Practical Extrapolation
+Methods*, 2003); the drift of S0 also grows by a step per doubling, as for
+ex1 at α = 1, which is fitted first.  The certificate is the gap to the
+same estimate one depth shallower (K/2) plus the gap to half the
+averaging order, and at least the rounding eps·Σ|P_k| of the summed
+periods.  K doubles from _FIRST_DEPTH until the certificate meets
+``head_budget``, or until k_a <= K and the sum is exact.  The periods are
+summed from y_254 on, whatever the points, so K and the certificate do
+not depend on the points; where a point lies below y_{K+2}, the main pass
+supplies the periods between y_R and y_{K+2}.  A source that vanishes on
+the deepest quarter of the periods is taken to vanish below them.  An
+edge a < 0 is refused.  These certificates are meaningless for non-alternating integrands (e.g.
+|w|), so ``alternating_ok`` is reported with every one: the deepest six
+period magnitudes must decrease with depth.
 """
 
 from __future__ import annotations
@@ -55,15 +52,15 @@ from math import comb
 
 import numpy as np
 
-from .errors import ResolutionInsufficientError
+from .errors import DomainError, ResolutionInsufficientError
 from .green import _panel_moments, _two_moment_levels
 
 __all__ = ["OscillatoryResult", "green_apply_oscillatory"]
 
 FILL_WIDTH = 0.01           # widest panel between sign changes
 SUBPANELS_PER_PERIOD = 2    # Gauss panels per sign interval narrower than that
-_FIRST_DEPTH = 4096         # deepest sign change of the first head estimate
-_AVERAGING = 4              # binomial averaging order of the head's partial sums
+_FIRST_DEPTH = 4096         # deepest sign change of the first summed estimate
+_AVERAGING = 4              # binomial averaging order of the partial sums
 
 
 @dataclass(frozen=True)
@@ -80,22 +77,20 @@ class OscillatoryResult:
 
     values: np.ndarray          # G w at the requested points, summed head included
     head_bound: float | np.ndarray  # truncation bound of the summed head (a = 0)
-                                    # or window (a > 0) of A, or |window| (a < 0)
+                                    # or window (a > 0) of A
     eps: np.ndarray             # per-point truncation bound propagated from the head
     periods: int                # number of resolved sign intervals
     alternating_ok: bool        # trailing period magnitudes decrease with depth
 
 
 def _zero_range(alpha: float, lo: float, hi: float, k_cap: int):
-    """Indices (k_min, k_max) of sign changes k^{-1/alpha} in [lo, hi]."""
+    """Indices (k_min, k_max <= k_min + k_cap) of sign changes k^{-1/alpha} in [lo, hi]."""
     k_min = max(1, int(np.ceil(hi ** (-alpha) - 1e-12)))
     if lo > 0.0:
         k_max = int(np.floor(lo ** (-alpha) + 1e-12))
     else:
         k_max = k_min + k_cap
-    capped = k_max - k_min > k_cap
-    k_max = min(k_max, k_min + k_cap)
-    return k_min, k_max, capped
+    return k_min, min(k_max, k_min + k_cap)
 
 
 def _decreasing(pp) -> bool:
@@ -160,59 +155,22 @@ def _estimate(S, r: int, K: int, depth=np.inf, log=False):
     return est, abs(est - at(K // 2, _AVERAGING)) + abs(est - at(K, _AVERAGING // 2))
 
 
-def _summed_head(w_fn, alpha, k_min, k_top, head_budget, max_periods):
-    """Sum the head of an edge a = 0 below the sign change y_r0, r0 >= k_top.
-
-    Depths K are multiples of 8 that double from _FIRST_DEPTH up to the
-    ``max_periods`` cap, and r0 = K/8 - _AVERAGING/2 for the first K.  The
-    estimate at depth K sums the periods from r = K/8 - _AVERAGING/2 on, so
-    that its estimate at K/2 has room; the periods from r0 to r are added
-    as computed.  Extra depth computes only the new periods.  The
-    certificate is at least eps·Σ|P_k|, the rounding of the summed periods.
-    Returns (r0, H, certificate, resolved periods, alternating_ok).
-    """
-    c = _AVERAGING // 2
-    k_cap = 8 * ((k_min + max_periods - c) // 8)
-    K = _FIRST_DEPTH
-    while K // 8 - c < k_top:
-        K *= 2
-    K = min(K, k_cap)
-    r0 = K // 8 - c
-    if r0 < k_top:
-        raise ResolutionInsufficientError(
-            f"the head below the evaluation points needs more than "
-            f"{max_periods} periods; raise max_periods")
-    P = _period_sums(w_fn, alpha, r0, K + c)[1]
-    while True:
-        r = K // 8 - c
-        S = np.concatenate([[0.0], np.cumsum(P[r - r0:])])
-        rounding = np.finfo(float).eps * float(np.sum(np.abs(P[r - r0:])))
-        head, cert = float(S[-1]), rounding
-        if np.any(P[3 * K // 4 - r0:]):     # else w vanishes on the deepest quarter
-            head, gap = _estimate(S, r, K)
-            cert = max(gap, rounding)
-        if cert <= head_budget or K == k_cap:
-            break
-        deeper = min(2 * K, k_cap)
-        P = np.concatenate([P, _period_sums(w_fn, alpha, K + c, deeper + c)[1]])
-        K = deeper
-    return (r0, float(np.sum(P[:r - r0])) + head, cert, K + c - k_min,
-            _decreasing(np.abs(P[:-7:-1])))
-
-
 def _summed_window(w_fn, alpha, a, k_a, R, k_min, store, head_budget, max_periods):
     """Sum the window ∫_a^{y_D} (y-a)·w, y_{k_a} >= a > y_{k_a+1}, D = min(R, K + 2).
 
     It is S1 - a·S0 at k_a minus the same at D, plus the partial period
     above a, with S0, S1 the sums of ∫w, ∫y·w from r0 = K/16 - 2 for the
-    first K on, which ``store`` shares between levels.  The main pass down
-    to y_R (R <= k_a) adds the periods between y_R and y_D.  The estimate
-    aims at the binomial average of S1 - a·S0 around k_a, which differs
-    from it by O(w·|y_{k_a} - y_{k_a+1}|²) since (y-a)·w vanishes at the
-    edge.  K doubles up to the ``max_periods`` cap until k_a <= K (exact)
-    or the certificate, at least the rounding of the summed periods, meets
-    ``head_budget``.  Returns (D, window, certificate, resolved periods,
-    alternating_ok).
+    first K on, which ``store`` shares between levels.  The head of an edge
+    a = 0 is the window with k_a = ∞; it needs neither S0 (whose log step
+    would read 0·∞) nor a partial period.  The main pass down to y_R
+    (R <= k_a) adds the periods between y_R and y_D.  The estimate aims at
+    the binomial average of S1 - a·S0 around k_a, which differs from it by
+    O(w·|y_{k_a} - y_{k_a+1}|²) since (y-a)·w vanishes at the edge.  K
+    doubles up to the ``max_periods`` cap until k_a <= K (exact), w
+    vanishes on the deepest quarter of the periods (then the sum down to
+    K + 2 is taken as exact), or the certificate, at least the rounding of
+    the summed periods, meets ``head_budget``.  Returns (D, window,
+    certificate, resolved periods, alternating_ok).
     """
     c = _AVERAGING // 2
     r0, K = _FIRST_DEPTH // 16 - c, _FIRST_DEPTH
@@ -225,19 +183,22 @@ def _summed_window(w_fn, alpha, a, k_a, R, k_min, store, head_budget, max_period
             store[1] = np.cumsum(np.pad(store[0], ((0, 0), (1, 0))), axis=1)
         P, S = store
         rounding = np.finfo(float).eps * np.sum(np.abs(P[:, :K + c - r0]), axis=1) @ (a, 1.0)
-        if k_a <= K:
-            win, cert = S[1, k_a - r0] - a * S[0, k_a - r0], rounding
+        if k_a <= K or not np.any(P[:, 3 * K // 4 - r0:K + c - r0]):
+            k = min(k_a, K + c)
+            win, cert = S[1, k - r0] - a * S[0, k - r0], rounding
             break
-        (s0, g0), (s1, g1) = (_estimate(S[j], r0, K, k_a, j == 0) for j in (0, 1))
+        s1, g1 = _estimate(S[1], r0, K, k_a)
+        s0, g0 = _estimate(S[0], r0, K, k_a, log=True) if a else (0.0, 0.0)
         win, cert = s1 - a * s0, max(g1 + a * g0, rounding)
         if cert <= head_budget or K == k_cap:
             tail = P[:, K + c - r0 - 6:K + c - r0]
             ok = _decreasing(np.abs(tail[1] - a * tail[0])[::-1])
             break
         K = min(2 * K, k_cap)
-    partial = _panel_moments(w_fn, np.array([a]), np.array([k_a ** (-1.0 / alpha)]), origin=a)
+    partial = (_panel_moments(w_fn, np.array([a]), np.array([k_a ** (-1.0 / alpha)]),
+                              origin=a)[1][0] if a else 0.0)
     D = min(R, K + c)
-    return (D, win - (S[1, D - r0] - a * S[0, D - r0]) + partial[1][0], cert,
+    return (D, win - (S[1, D - r0] - a * S[0, D - r0]) + partial, cert,
             max(K + c, R) - k_min, ok)
 
 
@@ -246,16 +207,15 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
                             max_periods: int = 1_500_000) -> OscillatoryResult:
     """Evaluate (G w)(x) on (a,b) for all x in xs, in ascending order of x.
 
-    ``w_fn`` must accept numpy arrays and be finite on (a,b).  For a = 0 the
-    head of A below the evaluation points is summed by series acceleration
-    and added to the values; its depth doubles until the certificate of
-    that sum drops under ``head_budget`` (or ``max_periods`` is hit).  For
-    a > 0 the integral is resolved down to a when at most _FIRST_DEPTH
-    sign changes lie above a, or a point lies below the last of them;
-    otherwise the window below the points is summed the same way, to the
-    same budget.  ``max_periods`` caps the sign changes of each level, at
-    least _FIRST_DEPTH for a > 0.  For a < 0 the window above a is left
-    out and certified by its deepest period.  These certificates (``eps``,
+    ``w_fn`` must accept numpy arrays and be finite on (a,b), and a >= 0.
+    For a = 0 the head of A below the evaluation points is summed by series
+    acceleration and added to the values; its depth doubles until the
+    certificate of that sum drops under ``head_budget`` (or ``max_periods``
+    is hit).  For a > 0 the integral is resolved down to a when at most
+    _FIRST_DEPTH sign changes lie above a, or a point lies below the last
+    of them; otherwise the window below the points is summed the same way,
+    to the same budget.  ``max_periods`` caps the sign changes of each
+    level, and is at least _FIRST_DEPTH.  These certificates (``eps``,
     ``head_bound``) bound truncation only; the rounding of the running
     moments, about 1e-16 relative, is left out.
 
@@ -268,6 +228,9 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     single = np.ndim(a) == 0 and np.ndim(b) == 0
     a_lv, b_lv = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                      np.atleast_1d(np.asarray(b, dtype=float)))
+    if a_lv.min() < 0.0:
+        raise DomainError("an edge a < 0 is never resolved: the sign changes "
+                          "accumulate at 0")
     if xs.size and (xs[0] <= a_lv.min() or xs[-1] >= b_lv.max()):
         raise ResolutionInsufficientError("evaluation points must be interior")
 
@@ -277,28 +240,24 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
             raise ResolutionInsufficientError("w evaluated non-finite inside (a,b)")
         return fv
 
-    # the sign changes of each level's main pass, and the summed heads
+    # the sign changes of each level's main pass, and the summed windows
     ranges, counts, store, depths = [], [], [np.zeros((2, 0))] * 2, {}
     head = np.zeros(a_lv.size)
     summed = np.zeros(a_lv.size)
     alternating_ok = True
+    cap = max(max_periods, _FIRST_DEPTH)
     for lv, (am, bm) in enumerate(zip(a_lv, b_lv)):
-        # an edge a > 0 is resolved down to or summed, from _FIRST_DEPTH periods
-        cap = max(max_periods, _FIRST_DEPTH) if am > 0.0 else max_periods
-        k_min, k_max, _ = _zero_range(alpha, am, bm, cap)
-        resolved, ok, edge = k_max - k_min, True, am > 0.0
-        if am == 0.0:
-            # the summed head starts at a sign change below every point
-            k_top = int(np.floor(xs[0] ** -alpha)) + 1 if xs.size and xs[0] > 0 else 1
-            k_max, summed[lv], head[lv], resolved, ok = _summed_head(
-                checked, alpha, k_min, max(k_min, k_top), head_budget, max_periods)
-        elif edge and k_max > _FIRST_DEPTH:
+        k_min, k_max = _zero_range(alpha, am, bm, cap)
+        resolved, ok, edge = k_max - k_min, True, True
+        if k_max > _FIRST_DEPTH:
             # the main pass stops at a sign change y_R below the level's
-            # points, and the window from y_R down to a is summed
+            # points, and the window from y_R down to a (the head for
+            # a = 0) is summed, unless a point lies below y_{k_a}
             above = xs[xs > am]
             k_top = int(np.floor(above[0] ** -alpha)) + 2 if above.size else 1
             R = min(k_max, max(k_top, k_min, _FIRST_DEPTH // 16 - _AVERAGING // 2))
-            if R < (k_a := int(np.floor(am ** -alpha + 1e-12))):
+            k_a = int(np.floor(am ** -alpha + 1e-12)) if am > 0.0 else np.inf
+            if R < k_a:
                 depths[lv], summed[lv], head[lv], resolved, ok = _summed_window(
                     checked, alpha, am, k_a, R, k_min, store, head_budget, cap)
                 k_max, edge = R, False
@@ -316,8 +275,8 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     zeros = zeros[::-1]                 # ascending; zeros[j] sits at k = k_hi - j
 
     # each level's deepest resolved breakpoint
-    y_bot = np.array([am if edge or k_max < k_min else zeros[k_hi - k_max]
-                      for (k_min, k_max, edge), am in zip(ranges, a_lv)])
+    y_bot = np.array([am if edge else zeros[k_hi - k_max]
+                      for (_, k_max, edge), am in zip(ranges, a_lv)])
     y_bottom = float(y_bot.min())
     if xs.size and xs[0] <= y_bottom:
         raise ResolutionInsufficientError(
@@ -344,17 +303,6 @@ def green_apply_oscillatory(w_fn, alpha: float, xs, a=0.0, b=1.0, *,
     for lv, D in depths.items():
         zi = np.searchsorted(breaks, zeros[[k_hi - ranges[lv][1], k_hi - D]])
         summed[lv] -= np.diff(M1[zi])[0] - a_lv[lv] * np.diff(M0[zi])[0]
-
-    # windows above an edge a < 0, left out
-    for lv, ((k_min, k_max, _), am) in enumerate(zip(ranges, a_lv)):
-        if am >= 0.0 or k_max < k_min:
-            continue
-        j0 = k_hi - k_max
-        zi = np.searchsorted(breaks, zeros[j0:j0 + min(7, k_max - k_min + 1)])
-        # deepest six period magnitudes, ∫(y-a)w = ΔM1 - a·ΔM0
-        pp = np.abs(np.diff(M1[zi]) - am * np.diff(M0[zi]))
-        alternating_ok &= _decreasing(pp)
-        head[lv] = 1.5 * float(pp[0]) if pp.size else np.inf
 
     al, bl = a_lv[:, None], b_lv[:, None]
     vals += summed[:, None] * (bl - xs) / (bl - al)

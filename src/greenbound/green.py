@@ -486,6 +486,8 @@ def improper_potential_at(kernel: Kernel, f: GridFn, x: float,
     """Exhaustion sequence of the improper potential at a single point.
 
     f meets the module's source contract."""
+    if levels < 1:
+        raise DomainError("need at least 1 exhaustion level")
     kernel._check_grid(f.grid)
     _check_source(f)
     seq, _ = _exhaustion(f, np.array([float(x)]), levels)

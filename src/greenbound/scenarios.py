@@ -432,6 +432,8 @@ def verify_cancellation_ex1(alpha: float, grid: Grid, *,
 
     # alpha == 1: improper mode over the standard exhaustion schedule, all
     # levels from one pass over the deepest level's panels
+    if not 0 <= levels[0] <= levels[1]:
+        raise InvalidScenarioError("exhaustion levels must satisfy 0 <= levels[0] <= levels[1]")
     if probes is None:
         probes = np.geomspace(1e-4, 1e-2, 7)
     probes = np.asarray(probes, dtype=float)

@@ -233,6 +233,16 @@ def test_improper_at_point_outside():
     assert len(seq) == 12 and seq[-1] == pytest.approx(0.125, abs=1e-4)
 
 
+def test_improper_at_point_needs_one_level():
+    grid = make_grid(Interval(0.0, 1.0), 101)
+    k = Kernel.closed_form(grid.interval)
+    f = sample(lambda x: 1.0, grid)
+    with pytest.raises(DomainError, match="at least 1 exhaustion level"):
+        improper_potential_at(k, f, 0.5, levels=0)
+    seq = improper_potential_at(k, f, 0.5, levels=1)
+    assert len(seq) == 1 and np.isfinite(seq[0])
+
+
 def test_improper_at_point_checks_its_kernel():
     grid = make_grid(Interval(0.0, 1.0), 101)
     f = sample(lambda x: 1.0, grid)

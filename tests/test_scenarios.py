@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from greenbound import (GridFn, Interval, InvalidScenarioError, Kernel,
-                        ResolutionInsufficientError, ScenarioSpec,
+from greenbound import (DomainError, GridFn, Interval, InvalidScenarioError,
+                        Kernel, ResolutionInsufficientError, ScenarioSpec,
                         WindowTooSmallError, build_scenario,
                         ex1_functions, ex4_functions, fit_boundary_rate,
                         make_grid, potential, sample, sharpness_report_ex4,
@@ -344,9 +344,10 @@ def test_ex1_coarse_readoff_matches_coarse_pass(alpha):
     assert rep.certified_remainder == res.head_bound
 
 
-def _brute_ex1_green(alpha, xs, periods=2 ** 17, a=0.0):
-    """G(hV) on (a, 1 - a) at xs from Gauss panels on every sign interval down to y_N.
+def _brute_ex1_green(alpha, xs, periods=2 ** 17, a=0.0, w=None):
+    """G(w) on (a, 1 - a) at xs from Gauss panels on every sign interval down to y_N.
 
+    w is ex1's hV unless given.
     N = periods + 1 and y_k = k^{-1/alpha}.  Every interval between sign
     changes, points, edges and a 0.005 fill is split in two 8-point Gauss
     panels.  For a = 0 the partial sums down to y_{N-1} and y_N bracket the
@@ -354,7 +355,7 @@ def _brute_ex1_green(alpha, xs, periods=2 ** 17, a=0.0):
     edge a > y_{N+1} (or an array of them, one row each) is summed down to
     exactly, and its half-width is 0.
     """
-    hV = ex1_functions(alpha)["hV"]
+    hV = w if w is not None else ex1_functions(alpha)["hV"]
     gx, gw = np.polynomial.legendre.leggauss(8)
     zeros = np.arange(1, periods + 2, dtype=float) ** (-1.0 / alpha)
     cuts = np.ravel(a)[np.ravel(a) > 0.0]
@@ -384,13 +385,14 @@ def _brute_ex1_green(alpha, xs, periods=2 ** 17, a=0.0):
     return rows[0] - 0.5 * deepest, 0.5 * np.abs(deepest)
 
 
-@pytest.mark.parametrize("alpha", [0.4, 0.6])
+@pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8])
 def test_ex1_summed_head_against_brute_force_periods(alpha):
     # the summed head against 2^17 resolved periods, which the oscillatory
     # pass never reaches: both agree within the head certificate plus the
     # bracket of the brute-force partial sums, up to the rounding of two
-    # panel layouts
-    xs = np.array([0.002, 0.05, 0.3, 0.7])
+    # panel layouts.  At alpha = 0.8 the point 5e-4 lies below y_439, so
+    # the main pass runs below y_254, where the summed periods start
+    xs = np.array([5e-4, 0.002, 0.05, 0.3, 0.7])
     res = green_apply_oscillatory(ex1_functions(alpha)["hV"], alpha, xs,
                                   head_budget=EX1_HEAD_BUDGET)
     ref, half_bracket = _brute_ex1_green(alpha, xs)
@@ -442,6 +444,13 @@ def test_ex1_point_above_the_partial_period_keeps_the_edge_resolved():
     np.testing.assert_allclose(res.values[0], ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("levels", [(20, 12), (-3, 2)])
+def test_ex1_levels_must_be_ordered_and_nonnegative(levels):
+    grid = make_grid(Interval(0.0, 1.0), 401)
+    with pytest.raises(InvalidScenarioError, match="levels"):
+        verify_cancellation_ex1(1.0, grid, levels=levels)
+
+
 def test_ex1_summed_windows_stop_at_max_periods():
     # level 20's probe at 4e-7 lies below y_{400,002}, the deepest sign change
     # that max_periods lets the main pass reach
@@ -450,17 +459,24 @@ def test_ex1_summed_windows_stop_at_max_periods():
         verify_cancellation_ex1(1.0, grid, probes=np.array([4e-7]), max_periods=400_000)
 
 
-def test_oscillatory_window_below_a_negative_edge_is_certified():
-    # an edge a < 0 leaves the window below y_{1001} out; its certificate,
-    # 1.5 times the deepest period, bounds the gap to a pass 100 times deeper
+@pytest.mark.parametrize("a", [-0.5, np.array([2.0 ** -14, -0.5])])
+def test_oscillatory_edge_below_zero_is_refused(a):
+    # the sign changes accumulate at 0, inside (a, b) for an edge a < 0
     w = lambda y: y * np.sin(np.pi / y)
+    with pytest.raises(DomainError, match="a < 0"):
+        green_apply_oscillatory(w, 1.0, np.array([0.01, 0.3]), a=a, b=1.0)
+
+
+def test_summed_head_takes_the_exact_sum_where_w_vanishes_deep():
+    # w vanishes below y_2800, on the deepest quarter of the first 4,096
+    # periods, whose sum is then exact; an extrapolation through the
+    # vanished periods would be certified by about 4e-12
+    w = lambda y: (y * np.sin(np.pi / y) + 0.3 * y) * (y > 1.0 / 2800)
     xs = np.array([0.01, 0.3])
-    res = green_apply_oscillatory(w, 1.0, xs, a=-0.5, b=1.0, max_periods=1_000)
-    ref = green_apply_oscillatory(w, 1.0, xs, a=-0.5, b=1.0, max_periods=100_000)
-    gap = np.abs(res.values - ref.values)
-    assert res.alternating_ok and res.periods == 1_000
-    assert np.all(gap <= res.eps) and np.all(gap >= 0.1 * res.eps)
-    assert np.all(ref.eps <= 1e-5 * res.eps)
+    res = green_apply_oscillatory(w, 1.0, xs)
+    ref, half_bracket = _brute_ex1_green(1.0, xs, periods=2800, w=w)
+    assert res.head_bound <= 1e-20 and np.all(half_bracket == 0.0)
+    np.testing.assert_allclose(res.values, ref, rtol=1e-13, atol=0)
 
 
 def test_ex1_alpha1_memory_stays_small():
@@ -510,6 +526,28 @@ def test_ex1_summary_reports_head_diagnostics():
     assert {"growth_factor", "improper_values", "probes"} <= one.keys()
     assert one["head_budget_met"] is True
     assert one["schema"] == half["schema"] == "greenbound/1"
+
+
+def test_benchmark_ex1_sweep_ops_succeed(tmp_path, monkeypatch):
+    """One seeded cycle of perfbench's ex1_sweep workload, through execute.
+
+    Its 16 cancellation ops, alpha = 1 included, must each meet criterion
+    08's thresholds; any other result counts as a failure of the workload.
+    """
+    from pathlib import Path
+
+    import greenbound
+    from perfbench.tracer import Tracer
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    load = workloads.Ex1Sweep(greenbound, Tracer(), tmp_path)
+    load.setup(np.random.default_rng(3101))
+    ops = load.cycle(np.random.default_rng(3101))
+    assert len(ops) == 16 and ops[-1].params == {"alpha": 1.0}
+    for op in ops:
+        assert load.execute(op) is None, op
 
 
 def test_scenario_spec_takes_the_table_defaults():
